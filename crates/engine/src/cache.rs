@@ -3,14 +3,18 @@
 //! Policy texts repeat across a corpus — the 81 third-party lib policies
 //! are checked against every app embedding them, template policies are
 //! shared by whole app families, and re-runs see identical bytes. The
-//! cache interns each policy's HTML and keys parsed [`PolicyAnalysis`]
-//! results by the resulting [`Symbol`], so each distinct text is pushed
-//! through the NLP pipeline exactly once per run regardless of worker
-//! count, collisions are impossible by construction (the interner
-//! compares bytes, not hashes), and repeat lookups probe a `u32`-keyed
-//! map. The trade-off: each *distinct* policy text stays resident in the
-//! interner for the life of the process — bounded by corpus text volume,
-//! which the resident analyses already dominate (see DESIGN.md §9).
+//! cache keys parsed [`PolicyAnalysis`] results by the policy's HTML
+//! itself, so each distinct text is pushed through the NLP pipeline
+//! exactly once per run regardless of worker count, and collisions are
+//! impossible by construction: keys compare by bytes, never by a hash a
+//! hostile client could collide. Lookups probe by `&str`; the key is an
+//! owned `String` that the cache holds only while the entry is resident.
+//! A batch worker hands its app's own HTML over on a miss (`resolve`,
+//! then `admit` after the check), so the stream path never copies a
+//! policy; [`ArtifactCache::policy`] copies the text on a miss. Nothing
+//! is interned: past [`POLICY_CACHE_CAP`] a text is dropped along with
+//! its analysis, so policy memory stays bounded however many distinct
+//! texts a resident process sees.
 //!
 //! ## The disk tier
 //!
@@ -26,7 +30,6 @@
 //! invariant that `misses` equals the number of analyses *computed* by
 //! this process.
 
-use ppchecker_nlp::{intern, Symbol};
 use ppchecker_policy::{decode_analysis, encode_analysis, PolicyAnalysis, PolicyAnalyzer};
 use ppchecker_static::TaintSummaryCache;
 use ppchecker_store::{combine_hashes, content_hash, ArtifactTier, RecordKind};
@@ -65,11 +68,37 @@ impl CacheStats {
 /// batch runs over the paper corpus use a few hundred.
 pub const POLICY_CACHE_CAP: usize = 32_768;
 
+/// The outcome of [`ArtifactCache::resolve`].
+#[derive(Debug)]
+pub(crate) enum Lookup {
+    /// Served from the memory tier (already counted).
+    Hit(Arc<PolicyAnalysis>),
+    /// Resolved outside the memory tier; pass it to
+    /// [`ArtifactCache::admit`] with the text it was looked up by.
+    Miss(Pending),
+}
+
+/// A policy analysis that missed the memory tier — replayed from the
+/// disk tier or freshly computed — and is not yet admitted or counted.
+#[derive(Debug)]
+pub(crate) struct Pending {
+    analysis: Arc<PolicyAnalysis>,
+    from_disk: bool,
+    disk_key: Option<u64>,
+}
+
+impl Pending {
+    /// The resolved analysis.
+    pub(crate) fn analysis(&self) -> &Arc<PolicyAnalysis> {
+        &self.analysis
+    }
+}
+
 /// Thread-safe memo of parsed policy analyses, shared by all workers of
 /// a batch run.
 #[derive(Debug)]
 pub struct ArtifactCache {
-    policies: RwLock<HashMap<Symbol, Arc<PolicyAnalysis>>>,
+    policies: RwLock<HashMap<String, Arc<PolicyAnalysis>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     cap: usize,
@@ -128,34 +157,68 @@ impl ArtifactCache {
 
     /// Returns the analysis of `html`, resolving through the memory
     /// tier, then the disk tier (when attached), then computing with
-    /// `analyzer` on first sight of the text.
+    /// `analyzer` on first sight of the text. A miss copies `html` into
+    /// the cache.
     pub fn policy(&self, analyzer: &PolicyAnalyzer, html: &str) -> Arc<PolicyAnalysis> {
+        match self.resolve(analyzer, html) {
+            Lookup::Hit(analysis) => analysis,
+            Lookup::Miss(pending) => self.admit(html.to_owned(), pending),
+        }
+    }
+
+    /// Looks `html` up without admitting it. A memory hit is counted
+    /// here; a miss is resolved through the disk tier or a fresh compute
+    /// and counted only when the caller [`admit`](ArtifactCache::admit)s
+    /// it, so each lookup still counts exactly once.
+    pub(crate) fn resolve(&self, analyzer: &PolicyAnalyzer, html: &str) -> Lookup {
         let _span = ppchecker_obs::span!("engine.cache_probe");
-        let key = intern(html);
-        if let Some(hit) = self.policies.read().expect("cache lock").get(&key) {
+        if let Some(hit) = self.policies.read().expect("cache lock").get(html) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
+            return Lookup::Hit(Arc::clone(hit));
         }
         let disk_key = self
             .disk
             .get()
             .map(|(_, salt)| combine_hashes(&[content_hash(html.as_bytes()), *salt]));
-        if let Some(stored) = self.load_from_disk(disk_key) {
-            return self.admit(key, stored, true).0;
+        let (analysis, from_disk) = match self.load_from_disk(disk_key) {
+            Some(stored) => (stored, true),
+            // Analyze outside any lock; a concurrent duplicate costs one
+            // redundant parse but never blocks other texts.
+            None => (Arc::new(analyzer.analyze_html(html)), false),
+        };
+        Lookup::Miss(Pending { analysis, from_disk, disk_key })
+    }
+
+    /// Admits a missed lookup under its text, `html`, and counts it.
+    /// First insert wins so every consumer shares one allocation: a
+    /// replay (memory race loser or disk-tier hit) counts a hit, a fresh
+    /// compute a miss — so a text two workers raced on counts one miss —
+    /// and only the winner of a fresh compute persists it to the disk
+    /// tier. Past the cap the
+    /// analysis is still returned, just not retained (the ESA
+    /// vector-cache idiom), and `html` is dropped with it.
+    pub(crate) fn admit(&self, html: String, pending: Pending) -> Arc<PolicyAnalysis> {
+        let Pending { analysis, from_disk, disk_key } = pending;
+        let mut map = self.policies.write().expect("cache lock");
+        if let Some(hit) = map.get(&html) {
+            let out = Arc::clone(hit);
+            drop(map);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return out;
         }
-        // Analyze outside the write lock; a concurrent duplicate costs
-        // one redundant parse but never blocks other texts. First insert
-        // wins so every consumer shares one allocation, and only the
-        // winner counts a miss — the loser's lookup resolves from the
-        // cache, so `misses` always equals the number of distinct texts.
-        let fresh = Arc::new(analyzer.analyze_html(html));
-        let (out, won) = self.admit(key, fresh, false);
-        if won {
+        if map.len() < self.cap {
+            map.insert(html, Arc::clone(&analysis));
+        }
+        drop(map);
+        if from_disk {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
             if let (Some((tier, _)), Some(disk_key)) = (self.disk.get(), disk_key) {
-                tier.save(RecordKind::Policy, disk_key, &encode_analysis(&out));
+                tier.save(RecordKind::Policy, disk_key, &encode_analysis(&analysis));
             }
         }
-        out
+        analysis
     }
 
     /// Probes the disk tier. Any defect — no record, corruption, a wire
@@ -165,37 +228,6 @@ impl ArtifactCache {
         let (tier, _) = self.disk.get()?;
         let bytes = tier.load(RecordKind::Policy, disk_key?)?;
         decode_analysis(&bytes).ok().map(Arc::new)
-    }
-
-    /// Inserts under the cap-bounded first-insert-wins discipline and
-    /// counts the lookup: a replay (memory race loser or disk-tier hit)
-    /// is a hit, a fresh compute a miss — so `misses` always equals the
-    /// number of analyses computed by this process. Returns the shared
-    /// analysis and whether this call won the race (the winner, and only
-    /// the winner, persists a freshly computed analysis to disk).
-    fn admit(
-        &self,
-        key: Symbol,
-        candidate: Arc<PolicyAnalysis>,
-        from_disk: bool,
-    ) -> (Arc<PolicyAnalysis>, bool) {
-        let mut map = self.policies.write().expect("cache lock");
-        if let Some(hit) = map.get(&key) {
-            let out = Arc::clone(hit);
-            drop(map);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (out, false);
-        }
-        // Cap-bounded admission (the ESA vector-cache idiom): at capacity
-        // the analysis is still returned, just not retained, so a
-        // resident process can't accrete unbounded parsed analyses.
-        if map.len() < self.cap {
-            map.insert(key, Arc::clone(&candidate));
-        }
-        drop(map);
-        let counter = if from_disk { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        (candidate, true)
     }
 
     /// Snapshot of the counters.
@@ -227,13 +259,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn distinct_texts_distinct_keys() {
-        let a = intern("we collect location");
-        let b = intern("we collect location!");
-        let c = intern("we collect locatioN");
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, intern("we collect location"));
+    fn keys_compare_by_bytes() {
+        let cache = ArtifactCache::new();
+        let analyzer = PolicyAnalyzer::new();
+        let a = cache.policy(&analyzer, "<p>we collect location.</p>");
+        let b = cache.policy(&analyzer, "<p>we collect location!</p>");
+        let c = cache.policy(&analyzer, "<p>we collect locatioN.</p>");
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&a, &c));
+        let again = cache.policy(&analyzer, &String::from("<p>we collect location.</p>"));
+        assert!(Arc::ptr_eq(&a, &again), "equal bytes share one entry");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (3, 1, 3));
+    }
+
+    #[test]
+    fn admit_takes_the_owned_text_and_first_insert_wins() {
+        let cache = ArtifactCache::new();
+        let analyzer = PolicyAnalyzer::new();
+        let html = "<p>we may share your contacts.</p>".to_string();
+        // Two workers miss the same text before either admits it.
+        let (Lookup::Miss(first), Lookup::Miss(second)) =
+            (cache.resolve(&analyzer, &html), cache.resolve(&analyzer, &html))
+        else {
+            panic!("an empty cache cannot hit");
+        };
+        assert_eq!(cache.stats().hits + cache.stats().misses, 0, "misses count on admit");
+        let winner = cache.admit(html.clone(), first);
+        let loser = cache.admit(html.clone(), second);
+        assert!(Arc::ptr_eq(&winner, &loser), "the loser adopts the resident analysis");
+        assert!(
+            matches!(cache.resolve(&analyzer, &html), Lookup::Hit(a) if Arc::ptr_eq(&a, &winner))
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 2, 1));
     }
 
     #[test]

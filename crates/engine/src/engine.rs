@@ -29,7 +29,7 @@
 //! pipeline computes is a pure function of the input, so `jobs=1` and
 //! `jobs=16` runs emit byte-identical record sequences and aggregates.
 
-use crate::cache::{ArtifactCache, CacheStats};
+use crate::cache::{ArtifactCache, CacheStats, Lookup};
 use crate::metrics::{EngineSnapshot, MetricsSummary, StageStats, StoreSummary};
 use crate::report::{AggregateSummary, AppOutcome, AppRecord, BatchReport};
 use crate::scheduler;
@@ -425,44 +425,41 @@ impl Engine {
         // Parallel workers receive apps built on the producer thread; start
         // the first-touch loads before the store-key hashing walks them.
         prefetch_app_input(&app);
-        let package = app.package.clone();
         if let Some(report) = self.stored_report(&app) {
-            let record = AppRecord { index, package, outcome: AppOutcome::Report(report) };
+            let record =
+                AppRecord { index, package: app.package, outcome: AppOutcome::Report(report) };
             return (record, StageTimings::default());
         }
+        // A policy-cache miss is admitted only after the check, so the
+        // cache can take ownership of this app's HTML instead of copying it.
+        let mut pending = None;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _span = ppchecker_obs::span!("app.check", app.package);
             self.checker.check(
                 CheckRequest::builder(&app)
-                    .policy_provider(|analyzer, html| self.cache.policy(analyzer, html))
+                    .policy_provider(|analyzer, html| match self.cache.resolve(analyzer, html) {
+                        Lookup::Hit(analysis) => analysis,
+                        Lookup::Miss(miss) => Arc::clone(pending.insert(miss).analysis()),
+                    })
                     .capture_timings()
                     .build(),
             )
         }));
-        match outcome {
+        let (outcome, timings) = match outcome {
             Ok(Ok(checked)) => {
                 self.persist_report(&app, &checked.report);
                 let timings = checked.timings.unwrap_or_default();
-                let record = AppRecord {
-                    index,
-                    package,
-                    outcome: AppOutcome::Report(checked.into_report()),
-                };
-                (record, timings)
+                (AppOutcome::Report(checked.into_report()), timings)
             }
-            Ok(Err(error)) => (
-                AppRecord { index, package, outcome: AppOutcome::Error(error) },
-                StageTimings::default(),
-            ),
-            Err(panic) => (
-                AppRecord {
-                    index,
-                    package,
-                    outcome: AppOutcome::Error(Error::worker(panic_message(&panic))),
-                },
-                StageTimings::default(),
-            ),
+            Ok(Err(error)) => (AppOutcome::Error(error), StageTimings::default()),
+            Err(panic) => {
+                (AppOutcome::Error(Error::worker(panic_message(&panic))), StageTimings::default())
+            }
+        };
+        if let Some(miss) = pending {
+            self.cache.admit(app.policy_html, miss);
         }
+        (AppRecord { index, package: app.package, outcome }, timings)
     }
 }
 
@@ -763,6 +760,29 @@ mod tests {
         // 10 apps, 2 distinct policy texts.
         assert_eq!(batch.metrics.policy_cache.misses, 2);
         assert_eq!(batch.metrics.policy_cache.hits, 8);
+    }
+
+    #[test]
+    fn failed_checks_still_admit_their_policy() {
+        let batch =
+            Engine::new(PPChecker::new()).with_jobs(1).run(vec![corrupt_app(1), corrupt_app(2)]);
+        assert_eq!(batch.metrics.errors, 2);
+        assert_eq!(batch.metrics.policy_cache.misses, 1);
+        assert_eq!(batch.metrics.policy_cache.hits, 1);
+    }
+
+    #[test]
+    fn checked_policies_stay_out_of_the_interner() {
+        let streamed = app(0, "we may collect your location. Revision 7f3a-run.");
+        let single = app(1, "we collect your email address. Revision 7f3a-one.");
+        let texts = [streamed.policy_html.clone(), single.policy_html.clone()];
+        let engine = Engine::new(PPChecker::new()).with_jobs(2);
+        assert_eq!(engine.run(vec![streamed]).metrics.errors, 0);
+        engine.check_one(&single).unwrap();
+        assert_eq!(engine.cache().stats().entries, 2, "both texts resident in the cache");
+        for html in &texts {
+            assert!(ppchecker_nlp::Interner::global().get(html).is_none(), "{html} was interned");
+        }
     }
 
     #[test]

@@ -26,12 +26,11 @@ impl Client {
     /// Sends one request and reads the full response. Returns the status
     /// code and body.
     pub fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-        write!(
-            self.writer,
+        let request = format!(
             "{method} {path} HTTP/1.1\r\nhost: ppchecker\r\ncontent-length: {}\r\n\r\n{body}",
             body.len(),
-        )?;
-        self.writer.flush()?;
+        );
+        self.send_raw(request.as_bytes())?;
         self.read_response()
     }
 
@@ -132,10 +131,12 @@ impl JsonlClient {
     /// Raw form of [`check_all`](JsonlClient::check_all): sends arbitrary
     /// lines (e.g. deliberately malformed ones) and returns the responses.
     pub fn send_lines(mut self, lines: &[String]) -> io::Result<Vec<String>> {
+        let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
         for line in lines {
-            writeln!(self.stream, "{line}")?;
+            out.push_str(line);
+            out.push('\n');
         }
-        self.stream.flush()?;
+        self.stream.write_all(out.as_bytes())?;
         self.stream.shutdown(std::net::Shutdown::Write)?;
         let mut responses = Vec::new();
         for line in BufReader::new(&self.stream).lines() {

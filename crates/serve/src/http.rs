@@ -3,7 +3,7 @@
 //! encoding, no TLS, no multipart. Hand-rolled on `std::net` so the
 //! daemon stays inside the workspace's zero-dependency budget.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Ceiling on the request line plus all headers, combined. Anything
 /// larger is malformed by fiat (real requests are a few hundred bytes).
@@ -44,13 +44,14 @@ impl From<io::Error> for ReadError {
 }
 
 /// Reads one request off `reader`. Blocks until a full request (or EOF)
-/// arrives; the caller bounds patience via socket timeouts.
+/// arrives; the caller bounds patience via socket timeouts. The head is
+/// read through a [`MAX_HEAD_BYTES`] budget, so a peer that never sends
+/// a newline costs at most that much memory before it gets a 400.
 pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<HttpRequest, ReadError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut budget = MAX_HEAD_BYTES;
+    let Some(line) = read_head_line(reader, &mut budget)? else {
         return Err(ReadError::Closed);
-    }
-    let mut head_bytes = line.len();
+    };
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -69,14 +70,9 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<HttpRe
     // HTTP/1.1 defaults to keep-alive; `Connection: close` opts out.
     let mut keep_alive = true;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let Some(header) = read_head_line(reader, &mut budget)? else {
             return Err(ReadError::Malformed("connection closed mid-headers".to_string()));
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::Malformed("header block exceeds 16 KiB".to_string()));
-        }
+        };
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -105,6 +101,26 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<HttpRe
     Ok(HttpRequest { method, path, body, keep_alive })
 }
 
+/// Reads one head line, newline included, and charges it to `budget`.
+/// Reads at most one byte past the budget, so an unterminated flood is
+/// cut off there. `None` means EOF before any byte.
+fn read_head_line(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+) -> Result<Option<String>, ReadError> {
+    let mut line = Vec::new();
+    let read = Read::take(&mut *reader, *budget as u64 + 1).read_until(b'\n', &mut line)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    *budget = budget
+        .checked_sub(read)
+        .ok_or_else(|| ReadError::Malformed("request head exceeds 16 KiB".to_string()))?;
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| ReadError::Malformed("request head is not UTF-8".to_string()))
+}
+
 /// The standard reason phrase for the statuses the daemon emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -119,22 +135,30 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one complete response (status line, headers, JSON body) and
-/// flushes.
+/// Writes one complete response (status line, headers, JSON body) with
+/// a single `write_all`, assembled in `buf` (cleared first, so a
+/// connection can reuse one buffer for every response). One write means
+/// one segment train: with Nagle off, a split head and body would go out
+/// as separate small segments, and with it on, the body would wait for
+/// the peer's delayed ACK of the head.
 pub fn write_response(
     w: &mut impl Write,
+    buf: &mut Vec<u8>,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    buf.clear();
     write!(
-        w,
+        buf,
         "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\n\
-         content-length: {}\r\nconnection: {connection}\r\n\r\n{body}",
+         content-length: {}\r\nconnection: {connection}\r\n\r\n",
         reason(status),
         body.len(),
     )?;
+    buf.extend_from_slice(body.as_bytes());
+    w.write_all(buf)?;
     w.flush()
 }
 
@@ -193,12 +217,56 @@ mod tests {
     fn oversized_header_block_is_malformed() {
         let huge = format!("GET / HTTP/1.1\r\nx-pad: {}\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
         assert!(matches!(read(&huge, 1024), Err(ReadError::Malformed(_))));
+        // A flood with no newline is cut off at the cap, not read whole.
+        let mut flood = std::io::Cursor::new(vec![b'a'; 1 << 20]);
+        let mut reader = BufReader::new(&mut flood);
+        assert!(matches!(read_request(&mut reader, 1024), Err(ReadError::Malformed(_))));
+        assert!(flood.position() < 2 * MAX_HEAD_BYTES as u64, "read past the head cap");
+    }
+
+    #[test]
+    fn non_utf8_head_is_malformed() {
+        let raw: &[u8] = b"GET /\xff HTTP/1.1\r\n\r\n";
+        assert!(matches!(
+            read_request(&mut BufReader::new(raw), 1024),
+            Err(ReadError::Malformed(_))
+        ));
+    }
+
+    /// A `Write` that accepts everything and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_call() {
+        let mut buf = Vec::new();
+        for body in ["{\"ok\":true}", &"x".repeat(64 * 1024)] {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, &mut buf, 200, body, true).unwrap();
+            assert_eq!(out.writes, 1);
+            assert!(out.bytes.ends_with(body.as_bytes()));
+        }
     }
 
     #[test]
     fn responses_round_trip_through_the_parser() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"ok\":true}", true).unwrap();
+        write_response(&mut out, &mut Vec::new(), 200, "{\"ok\":true}", true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 11\r\n"));

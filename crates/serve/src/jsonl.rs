@@ -13,20 +13,19 @@
 //! [`WorkerPool::admit_blocking`]: ppchecker_engine::WorkerPool::admit_blocking
 
 use crate::json;
-use crate::server::{PatientReader, Shared};
+use crate::server::{PatientReader, Shared, POLL};
 use ppchecker_engine::AdmitError;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
 
 /// Serves one JSONL connection: the calling thread reads and admits,
 /// a writer thread sequences and responds.
 pub(crate) fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
+    let _ = stream.set_read_timeout(Some(POLL));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -107,10 +106,11 @@ fn error_line(message: &str) -> String {
 fn write_in_order(writer: &mut impl Write, rx: mpsc::Receiver<(u64, String)>) {
     let mut next = 0u64;
     let mut pending = BTreeMap::new();
+    let mut buf = Vec::new();
     for (seq, line) in rx {
         pending.insert(seq, line);
         while let Some(line) = pending.remove(&next) {
-            if writeln!(writer, "{line}").and_then(|()| writer.flush()).is_err() {
+            if write_line(writer, &mut buf, &line).is_err() {
                 return;
             }
             next += 1;
@@ -119,10 +119,20 @@ fn write_in_order(writer: &mut impl Write, rx: mpsc::Receiver<(u64, String)>) {
     // A vanished job (worker lost) would leave a gap; flush whatever
     // remains in order rather than dropping completed results.
     for (_, line) in pending {
-        if writeln!(writer, "{line}").and_then(|()| writer.flush()).is_err() {
+        if write_line(writer, &mut buf, &line).is_err() {
             return;
         }
     }
+}
+
+/// Writes `line` and its newline with one `write_all` from `buf`, the
+/// connection's reused output buffer.
+fn write_line(writer: &mut impl Write, buf: &mut Vec<u8>, line: &str) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    writer.write_all(buf)?;
+    writer.flush()
 }
 
 #[cfg(test)]

@@ -85,7 +85,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Set by the SIGTERM handler; polled by the accept loops.
+/// Set by the SIGTERM handler; polled by each daemon's SIGTERM watch.
 static SIGTERM: AtomicBool = AtomicBool::new(false);
 
 /// Whether SIGTERM has been delivered since
@@ -94,10 +94,11 @@ pub fn sigterm_received() -> bool {
     SIGTERM.load(Ordering::SeqCst)
 }
 
-/// Installs a SIGTERM handler that initiates a graceful drain (the
-/// accept loops poll [`sigterm_received`]). Uses `signal(2)` directly —
-/// the handler only stores to an `AtomicBool`, which is async-signal-
-/// safe — so no FFI crate is needed. No-op on non-Unix targets.
+/// Installs a SIGTERM handler that initiates a graceful drain (each
+/// running daemon's SIGTERM watch polls [`sigterm_received`]). Uses
+/// `signal(2)` directly — the handler only stores to an `AtomicBool`,
+/// which is async-signal-safe — so no FFI crate is needed. No-op on
+/// non-Unix targets.
 #[cfg(unix)]
 pub fn install_sigterm_handler() {
     extern "C" fn on_sigterm(_signum: i32) {

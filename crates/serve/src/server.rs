@@ -5,7 +5,9 @@
 //!
 //! [`Server::start`] binds the HTTP listener (and optionally the JSONL
 //! one), warms a [`ppchecker_engine::Engine`], and spawns one acceptor
-//! thread per transport plus one handler thread per connection. All of
+//! thread per transport. Each connection runs on a handler thread of its
+//! acceptor; a handler that finishes a connection parks for the next
+//! one (up to a small idle cap) rather than exiting. All of
 //! them share one `Shared` hub: the engine, the resident
 //! [`WorkerPool`], the request counters, and the drain flag.
 //!
@@ -21,11 +23,19 @@
 //!
 //! ## Drain
 //!
-//! `POST /shutdown` (or SIGTERM) flips one flag: acceptors stop
-//! accepting, idle keep-alive connections see EOF, admitted work runs to
-//! completion, and responses for in-flight requests are still written.
-//! [`ServerHandle::join`] returns once the last connection closes and
-//! the pool is idle.
+//! `POST /shutdown` (or SIGTERM) flips one flag and wakes each acceptor,
+//! which blocks in `accept` and never polls, by connecting to its bound
+//! address: acceptors stop accepting, idle keep-alive connections see
+//! EOF, admitted work runs to completion, and responses for in-flight
+//! requests are still written. [`ServerHandle::join`] returns once the
+//! last connection closes and the pool is idle.
+//!
+//! ## Transport
+//!
+//! Every accepted stream has Nagle off, and every response — an HTTP
+//! head plus body, a JSONL line plus its newline — leaves in one write
+//! from a buffer the connection reuses. A request therefore costs its
+//! analysis plus a loopback round trip, not a delayed-ACK timer.
 
 use crate::http::{self, HttpRequest, ReadError};
 use crate::json;
@@ -34,14 +44,16 @@ use crate::ServeConfig;
 use ppchecker_core::{AppInput, DetectorId};
 use ppchecker_engine::{AdmitError, CacheStats, Engine, WorkerPool};
 use std::io::{self, BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How often blocked accept/read loops re-check the drain flag.
-const POLL: Duration = Duration::from_millis(20);
+/// How long a parked connection read (and the SIGTERM watch) waits
+/// before re-checking the drain flag. Off the request path: a request's
+/// bytes end the wait as soon as they arrive.
+pub(crate) const POLL: Duration = Duration::from_millis(20);
 
 /// Monotonic request counters, scraped verbatim into `/metrics`.
 #[derive(Debug, Default)]
@@ -76,6 +88,9 @@ pub(crate) struct Shared {
     pub(crate) counters: Counters,
     started: Instant,
     draining: AtomicBool,
+    /// Where each acceptor listens, as a peer can reach it: connecting
+    /// here wakes an acceptor blocked in `accept`.
+    wake_addrs: Vec<SocketAddr>,
     connections: Mutex<usize>,
     connections_closed: Condvar,
 }
@@ -90,6 +105,11 @@ impl Shared {
     pub(crate) fn begin_shutdown(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
             self.pool.start_drain();
+            // Each acceptor re-checks the flag after every accept; a
+            // refused connect means it already saw the flag and exited.
+            for addr in &self.wake_addrs {
+                let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
+            }
         }
     }
 
@@ -166,7 +186,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     jsonl_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
-    acceptors: Vec<thread::JoinHandle<()>>,
+    /// The acceptors and the SIGTERM watch.
+    threads: Vec<thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -188,8 +209,8 @@ impl ServerHandle {
     /// Blocks until the daemon has fully drained: acceptors exited, all
     /// connections closed, all admitted work completed.
     pub fn join(self) {
-        for acceptor in self.acceptors {
-            let _ = acceptor.join();
+        for thread in self.threads {
+            let _ = thread.join();
         }
         self.shared.wait_connections_closed();
         self.shared.pool.wait_idle();
@@ -216,6 +237,7 @@ impl Server {
             None => None,
         };
 
+        let wake_addrs = [Some(addr), jsonl_addr].into_iter().flatten().map(reachable).collect();
         let pool = WorkerPool::new(config.workers, config.queue_depth);
         let shared = Arc::new(Shared {
             engine,
@@ -224,13 +246,14 @@ impl Server {
             counters: Counters::default(),
             started: Instant::now(),
             draining: AtomicBool::new(false),
+            wake_addrs,
             connections: Mutex::new(0),
             connections_closed: Condvar::new(),
         });
 
-        let mut acceptors = Vec::new();
+        let mut threads = Vec::new();
         let hub = Arc::clone(&shared);
-        acceptors.push(
+        threads.push(
             thread::Builder::new()
                 .name("ppchecker-accept-http".to_string())
                 .spawn(move || accept_loop(hub, http_listener, handle_http_connection))
@@ -238,49 +261,132 @@ impl Server {
         );
         if let Some(listener) = jsonl_listener {
             let hub = Arc::clone(&shared);
-            acceptors.push(
+            threads.push(
                 thread::Builder::new()
                     .name("ppchecker-accept-jsonl".to_string())
                     .spawn(move || accept_loop(hub, listener, jsonl::handle_connection))
                     .expect("spawn acceptor"),
             );
         }
+        let hub = Arc::clone(&shared);
+        threads.push(
+            thread::Builder::new()
+                .name("ppchecker-sigterm".to_string())
+                .spawn(move || watch_sigterm(&hub))
+                .expect("spawn SIGTERM watch"),
+        );
 
-        Ok(ServerHandle { addr, jsonl_addr, shared, acceptors })
+        Ok(ServerHandle { addr, jsonl_addr, shared, threads })
     }
 }
 
-fn accept_loop(shared: Arc<Shared>, listener: TcpListener, handler: fn(Arc<Shared>, TcpStream)) {
-    listener.set_nonblocking(true).expect("nonblocking listener");
-    loop {
+/// The address a local peer connects to for a listener bound at
+/// `bound`: an unspecified IP (`0.0.0.0`, `::`) is reached on loopback.
+fn reachable(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Turns a delivered SIGTERM into a drain; exits once the daemon drains
+/// for any reason.
+fn watch_sigterm(shared: &Shared) {
+    while !shared.draining() {
         if crate::sigterm_received() {
             shared.begin_shutdown();
         }
+        thread::sleep(POLL);
+    }
+}
+
+/// Most connection threads an acceptor keeps parked between
+/// connections; a thread that finishes a connection beyond this exits.
+const IDLE_HANDLERS: usize = 16;
+
+/// An acceptor's connection threads. Each serves one connection at a
+/// time and then parks for the next instead of exiting, so a fresh
+/// connection costs a channel hand-off, not a thread spawn.
+struct Handlers {
+    handoff: Mutex<mpsc::Receiver<TcpStream>>,
+    /// Parked threads not yet promised a connection.
+    idle: AtomicUsize,
+}
+
+impl Handlers {
+    /// Promises the next handed-off connection to a parked thread, if
+    /// one is free.
+    fn claim_idle(&self) -> bool {
+        self.idle.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1)).is_ok()
+    }
+
+    /// Parks until the acceptor hands over a connection. `None` when
+    /// enough threads are parked already, or once the acceptor exited.
+    fn park(&self) -> Option<TcpStream> {
+        if self.idle.fetch_add(1, Ordering::AcqRel) >= IDLE_HANDLERS {
+            self.idle.fetch_sub(1, Ordering::AcqRel);
+            return None;
+        }
+        self.handoff.lock().expect("handoff lock").recv().ok()
+    }
+}
+
+/// Blocks in `accept` until the daemon drains; [`Shared::begin_shutdown`]
+/// connects to the listener so the last `accept` returns. Returning
+/// drops the hand-off sender, which releases every parked handler.
+fn accept_loop(shared: Arc<Shared>, listener: TcpListener, handler: fn(Arc<Shared>, TcpStream)) {
+    let (handoff, rx) = mpsc::channel();
+    let handlers = Arc::new(Handlers { handoff: Mutex::new(rx), idle: AtomicUsize::new(0) });
+    loop {
+        let accepted = listener.accept();
         if shared.draining() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
+                let _ = stream.set_nodelay(true);
                 shared.connection_opened();
-                let hub = Arc::clone(&shared);
-                let spawned =
-                    thread::Builder::new().name("ppchecker-conn".to_string()).spawn(move || {
-                        let _guard = ConnGuard(&hub);
-                        handler(Arc::clone(&hub), stream);
-                    });
-                if spawned.is_err() {
+                if handlers.claim_idle() {
+                    // The receiver lives in `handlers`, so the send lands;
+                    // the promised thread is parked in or entering `recv`.
+                    let _ = handoff.send(stream);
+                } else if spawn_handler(&shared, &handlers, handler, stream).is_err() {
                     shared.connection_closed();
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
+            // A failed accept (an aborted handshake, fd exhaustion) backs
+            // off briefly rather than spinning; it is not a request path.
+            Err(_) => thread::sleep(Duration::from_millis(1)),
         }
     }
 }
 
-/// Decrements the connection count when a handler thread exits, however
-/// it exits.
+/// Starts a connection thread on `stream`; it serves further handed-off
+/// connections until [`Handlers::park`] turns it away.
+fn spawn_handler(
+    shared: &Arc<Shared>,
+    handlers: &Arc<Handlers>,
+    handler: fn(Arc<Shared>, TcpStream),
+    stream: TcpStream,
+) -> io::Result<()> {
+    let (hub, handlers) = (Arc::clone(shared), Arc::clone(handlers));
+    thread::Builder::new().name("ppchecker-conn".to_string()).spawn(move || {
+        let mut next = Some(stream);
+        while let Some(stream) = next {
+            {
+                let _guard = ConnGuard(&hub);
+                handler(Arc::clone(&hub), stream);
+            }
+            next = handlers.park();
+        }
+    })?;
+    Ok(())
+}
+
+/// Decrements the connection count when a handler finishes a
+/// connection, however it finishes.
 struct ConnGuard<'a>(&'a Arc<Shared>);
 
 impl Drop for ConnGuard<'_> {
@@ -339,6 +445,7 @@ fn handle_http_connection(shared: Arc<Shared>, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(PatientReader { stream, shared: Arc::clone(&shared) });
+    let mut out = Vec::new();
     loop {
         match http::read_request(&mut reader, shared.config.max_body_bytes) {
             Ok(request) => {
@@ -346,8 +453,13 @@ fn handle_http_connection(shared: Arc<Shared>, stream: TcpStream) {
                 let _span = ppchecker_obs::span!("serve.request");
                 let response = route(&shared, &request);
                 let keep_alive = request.keep_alive && !response.close;
-                let written =
-                    http::write_response(&mut writer, response.status, &response.body, keep_alive);
+                let written = http::write_response(
+                    &mut writer,
+                    &mut out,
+                    response.status,
+                    &response.body,
+                    keep_alive,
+                );
                 if response.begin_shutdown {
                     shared.begin_shutdown();
                 }
@@ -358,14 +470,16 @@ fn handle_http_connection(shared: Arc<Shared>, stream: TcpStream) {
             Err(ReadError::Closed) => return,
             Err(ReadError::Malformed(message)) => {
                 shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = http::write_response(&mut writer, 400, &json::error_body(&message), false);
+                let body = json::error_body(&message);
+                let _ = http::write_response(&mut writer, &mut out, 400, &body, false);
                 return;
             }
             Err(ReadError::TooLarge(len)) => {
                 shared.counters.oversized.fetch_add(1, Ordering::Relaxed);
                 let message =
                     format!("body of {len} bytes exceeds cap of {}", shared.config.max_body_bytes);
-                let _ = http::write_response(&mut writer, 413, &json::error_body(&message), false);
+                let body = json::error_body(&message);
+                let _ = http::write_response(&mut writer, &mut out, 413, &body, false);
                 return;
             }
             Err(ReadError::Io(_)) => return,
@@ -579,4 +693,49 @@ fn metrics_to_json(shared: &Shared) -> String {
         ppchecker_nlp::Interner::global().over_cap_interns(),
         spans.join(","),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parked_handlers_take_handed_off_connections_up_to_the_cap() {
+        let (handoff, rx) = mpsc::channel();
+        let handlers = Arc::new(Handlers { handoff: Mutex::new(rx), idle: AtomicUsize::new(0) });
+        assert!(!handlers.claim_idle(), "no thread is parked yet");
+
+        let parked = {
+            let handlers = Arc::clone(&handlers);
+            thread::spawn(move || handlers.park().map(|s| s.peer_addr().unwrap()))
+        };
+        while handlers.idle.load(Ordering::Acquire) == 0 {
+            thread::yield_now();
+        }
+        assert!(handlers.claim_idle());
+        assert!(!handlers.claim_idle(), "one parked thread, one promise");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        handoff.send(stream).unwrap();
+        assert_eq!(parked.join().unwrap(), Some(client.local_addr().unwrap()));
+
+        // A full parking lot turns the next thread away untouched.
+        handlers.idle.store(IDLE_HANDLERS, Ordering::Release);
+        assert!(handlers.park().is_none());
+        assert_eq!(handlers.idle.load(Ordering::Acquire), IDLE_HANDLERS);
+
+        // Once the acceptor's sender is gone, a parked thread is released.
+        handlers.idle.store(0, Ordering::Release);
+        drop(handoff);
+        assert!(handlers.park().is_none());
+    }
+
+    #[test]
+    fn wildcard_binds_are_woken_on_loopback() {
+        let at = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(reachable(at("0.0.0.0:7171")), at("127.0.0.1:7171"));
+        assert_eq!(reachable(at("[::]:7171")), at("[::1]:7171"));
+        assert_eq!(reachable(at("10.1.2.3:80")), at("10.1.2.3:80"));
+    }
 }

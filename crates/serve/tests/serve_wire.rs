@@ -7,10 +7,11 @@ use ppchecker_corpus::small_dataset;
 use ppchecker_engine::Engine;
 use ppchecker_serve::json::Value;
 use ppchecker_serve::{Client, JsonlClient, ServeConfig, Server, ServerHandle};
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Boots a daemon on ephemeral ports over a plain checker.
 fn daemon(workers: usize, queue_depth: usize, jsonl: bool) -> ServerHandle {
@@ -122,6 +123,65 @@ fn oversized_body_gets_413_without_reading_it() {
     let metrics = probe.metrics().unwrap();
     assert!(number(&metrics, &["requests", "oversized"]) >= 1.0);
     shut_down(handle);
+}
+
+#[test]
+fn unterminated_head_flood_gets_400_then_close() {
+    let handle = daemon(1, 2, false);
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // The daemon stops reading at the head cap, so the rest of the flood
+    // may never drain: send it from another thread.
+    let mut writer = stream.try_clone().unwrap();
+    let sender = thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'a'; 1 << 20]);
+    });
+    // Read until the daemon closes; a reset after the response is a close.
+    let mut response = Vec::new();
+    if let Err(e) = (&stream).read_to_end(&mut response) {
+        assert!(
+            !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "the daemon must close the connection"
+        );
+    }
+    let response = String::from_utf8_lossy(&response);
+    assert!(response.starts_with("HTTP/1.1 400 "), "response: {response}");
+    assert!(response.contains("exceeds"), "response: {response}");
+    sender.join().unwrap();
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(client.healthz().unwrap().0, 200);
+    shut_down(handle);
+}
+
+#[test]
+fn keep_alive_round_trips_are_not_delayed() {
+    let handle = daemon(1, 2, false);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let started = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(client.healthz().unwrap().0, 200);
+    }
+    let elapsed = started.elapsed();
+    // Nagle holding a split response for the peer's delayed ACK costs
+    // ~40 ms per round trip, 2 s over 50; one write costs microseconds.
+    assert!(elapsed < Duration::from_secs(1), "50 keep-alive round trips took {elapsed:?}");
+    shut_down(handle);
+}
+
+#[test]
+fn idle_daemon_drains_without_client_traffic() {
+    // Both acceptors are parked in `accept`; shutdown must wake them.
+    let handle = daemon(1, 2, true);
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::spawn(move || {
+        shut_down(handle);
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "shutdown + join hung on an idle daemon"
+    );
 }
 
 #[test]
