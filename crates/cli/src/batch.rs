@@ -303,7 +303,7 @@ fn stream_batch_to<I>(
     jobs: usize,
     store: Option<Arc<Store>>,
     detectors: Option<&[DetectorId]>,
-    out: &mut dyn io::Write,
+    out: &mut (dyn io::Write + Send),
 ) -> Result<String, CliError>
 where
     I: IntoIterator<Item = AppInput>,
@@ -337,7 +337,8 @@ where
 
 /// The `batch` entry point: resolve the source, run, and write the
 /// deterministic JSON-lines stream (records + aggregate line) to `out`,
-/// returning the timing-dependent metrics summary for stderr.
+/// returning the timing-dependent metrics summary for stderr. `out` is
+/// `Send` because with `jobs > 1` the engine's workers write the records.
 ///
 /// The corpus-directory source materializes its apps up front (they live
 /// on disk already); the stream and manifest sources generate lazily and
@@ -350,7 +351,10 @@ where
 ///
 /// Returns [`CliError`] when the source is unreadable, the output sink
 /// fails, or the trace file cannot be written.
-pub fn run_batch_to(opts: &BatchOptions, out: &mut dyn io::Write) -> Result<String, CliError> {
+pub fn run_batch_to(
+    opts: &BatchOptions,
+    out: &mut (dyn io::Write + Send),
+) -> Result<String, CliError> {
     let store = opts
         .store
         .as_deref()

@@ -1,14 +1,15 @@
-//! The batch scheduler: shards an app stream across a worker pool and
-//! reassembles results deterministically.
+//! The batch engine: shards an app stream across worker threads and
+//! hands records back deterministically.
 //!
 //! ## Topology
 //!
-//! One bounded job channel feeds `jobs` workers (bounded = backpressure:
-//! a slow pool stalls the producer instead of buffering the whole corpus
-//! in memory). Workers pull `(index, AppInput)` pairs, run the full
-//! pipeline, and push `(AppRecord, StageTimings)` into an unbounded
-//! result channel — unbounded so a worker can never deadlock against the
-//! producer. The caller's thread is the producer, then the collector.
+//! `jobs` scoped workers pull `(index, AppInput)` pairs straight from the
+//! source, run the full pipeline, and whichever worker completes the next
+//! record in line hands the run of ready records to the sink (see
+//! `scheduler::run_scoped_streamed`). At most `jobs + channel_depth` apps
+//! sit between the source and the sink, so a slow sink stalls the
+//! workers instead of buffering the whole corpus in memory. The caller's
+//! thread only joins. `jobs = 1` runs inline on the caller's thread.
 //!
 //! ## Shared vs per-worker state
 //!
@@ -50,7 +51,8 @@ use std::time::Instant;
 pub struct EngineConfig {
     /// Worker threads. `1` runs inline on the calling thread.
     pub jobs: usize,
-    /// Bound of the job channel (backpressure depth), in apps.
+    /// Backpressure depth, in apps: at most `jobs + channel_depth` apps
+    /// sit between the source and the sink.
     pub channel_depth: usize,
 }
 
@@ -233,38 +235,24 @@ impl Engine {
     }
 
     /// Runs the pipeline over every app in the stream and returns records
-    /// in submission order plus run metrics.
+    /// in submission order plus run metrics: [`Engine::run_streamed`]
+    /// with a sink that collects the records.
     ///
     /// The stream is consumed incrementally under backpressure — pair it
     /// with a lazy source (e.g. a corpus `iter_apps()` generator or a
-    /// directory walker) to keep peak memory at
-    /// `O(jobs + channel_depth + results)` instead of `O(corpus)`. The
-    /// returned records still occupy `O(corpus)`; when the consumer can
-    /// process records one at a time, use [`Engine::run_streamed`] and
-    /// peak memory stays constant in the stream length.
+    /// directory walker) and only the in-flight window of apps is
+    /// resident. The returned records still occupy `O(corpus)`; when the
+    /// consumer can process records one at a time, use
+    /// [`Engine::run_streamed`] and peak memory stays constant in the
+    /// stream length.
     pub fn run<I>(&self, apps: I) -> BatchReport
     where
         I: IntoIterator<Item = AppInput>,
+        I::IntoIter: Send,
     {
-        let probe = MetricsProbe::begin(self);
-
-        let jobs = self.config.jobs.max(1);
-        let mut outputs =
-            if jobs == 1 { self.run_serial(apps) } else { self.run_parallel(apps, jobs) };
-        outputs.sort_by_key(|(record, _)| record.index);
-
-        let mut stage_totals = StageTimings::default();
-        let mut aggregate = AggregateSummary::default();
-        let mut records = Vec::with_capacity(outputs.len());
-        for (record, timings) in outputs {
-            stage_totals.accumulate(&timings);
-            aggregate.accumulate(&record);
-            records.push(record);
-        }
-
-        let mut metrics = probe.finish(self, jobs, records.len(), aggregate.errors, stage_totals);
-        metrics.detector_findings = aggregate.detector_findings;
-        BatchReport { records, metrics }
+        let mut records = Vec::new();
+        let summary = self.run_streamed(apps, |record| records.push(record));
+        BatchReport { records, metrics: summary.metrics }
     }
 
     /// Runs the pipeline over the stream, handing each record to `sink`
@@ -273,27 +261,34 @@ impl Engine {
     /// records — constant in the stream length — which is what lets a
     /// 100k–1M-app corpus run to completion in a fixed footprint.
     ///
-    /// Everything else matches [`Engine::run`]: determinism (`jobs = 1`
-    /// and `jobs = 16` hand `sink` byte-identical record sequences),
-    /// fault isolation, store replay, cache accounting. The aggregate is
+    /// `jobs = 1` and `jobs = 16` hand `sink` byte-identical record
+    /// sequences; a failing or panicking app becomes one error record;
+    /// with a store attached, unchanged apps replay. The aggregate is
     /// folded incrementally via [`AggregateSummary::accumulate`], so the
     /// returned [`StreamSummary`] equals what `run(..).aggregate()` would
     /// have produced.
     ///
-    /// The producer half of the pipeline moves to a scoped thread, hence
-    /// the extra `I::IntoIter: Send` bound — satisfied by any generator
-    /// whose state is plain data (the corpus streamers, vectors, ranges).
+    /// At `jobs > 1` the workers pull apps from the source and call
+    /// `sink` themselves — whichever one completes the next record in
+    /// line — hence the `I::IntoIter: Send` and `S: Send` bounds, which
+    /// any generator or sink over plain data (the corpus streamers,
+    /// vectors, ranges, `&mut` writers and collections) satisfies.
     pub fn run_streamed<I, S>(&self, apps: I, mut sink: S) -> StreamSummary
     where
         I: IntoIterator<Item = AppInput>,
         I::IntoIter: Send,
-        S: FnMut(AppRecord),
+        S: FnMut(AppRecord) + Send,
     {
         let probe = MetricsProbe::begin(self);
         let jobs = self.config.jobs.max(1);
         let mut stage_totals = StageTimings::default();
         let mut aggregate = AggregateSummary::default();
         if jobs == 1 {
+            // Batch-level prefetch: while app N runs, pull the head of app
+            // N+1's input buffers toward the caches. The worklist is known
+            // one step ahead, so the first-touch misses (content hashing
+            // for the store key, then the policy parse) overlap with real
+            // work.
             let mut queue = apps.into_iter().enumerate().peekable();
             while let Some((index, app)) = queue.next() {
                 if let Some((_, next)) = queue.peek() {
@@ -310,7 +305,7 @@ impl Engine {
                 jobs,
                 self.config.channel_depth,
                 |index, app| self.process_one(index, app),
-                &mut |_, (record, timings): (AppRecord, StageTimings)| {
+                |_, (record, timings): (AppRecord, StageTimings)| {
                     stage_totals.accumulate(&timings);
                     aggregate.accumulate(&record);
                     sink(record);
@@ -320,34 +315,6 @@ impl Engine {
         let mut metrics = probe.finish(self, jobs, aggregate.apps, aggregate.errors, stage_totals);
         metrics.detector_findings = aggregate.detector_findings;
         StreamSummary { aggregate, metrics }
-    }
-
-    fn run_serial<I>(&self, apps: I) -> Vec<(AppRecord, StageTimings)>
-    where
-        I: IntoIterator<Item = AppInput>,
-    {
-        // Batch-level prefetch: while app N runs, pull the head of app
-        // N+1's input buffers toward the caches. The worklist is known one
-        // step ahead, so the first-touch misses (content hashing for the
-        // store key, then the policy parse) overlap with real work.
-        let mut queue = apps.into_iter().enumerate().peekable();
-        let mut out = Vec::new();
-        while let Some((index, app)) = queue.next() {
-            if let Some((_, next)) = queue.peek() {
-                prefetch_app_input(next);
-            }
-            out.push(self.process_one(index, app));
-        }
-        out
-    }
-
-    fn run_parallel<I>(&self, apps: I, jobs: usize) -> Vec<(AppRecord, StageTimings)>
-    where
-        I: IntoIterator<Item = AppInput>,
-    {
-        scheduler::run_scoped(apps, jobs, self.config.channel_depth, |index, app| {
-            self.process_one(index, app)
-        })
     }
 
     /// Runs one app through the full pipeline via the engine's shared
@@ -422,7 +389,7 @@ impl Engine {
     /// a previously persisted run) replays its stored report and skips
     /// the pipeline entirely.
     fn process_one(&self, index: usize, app: AppInput) -> (AppRecord, StageTimings) {
-        // Parallel workers receive apps built on the producer thread; start
+        // The app may have been built long ago or on another thread; start
         // the first-touch loads before the store-key hashing walks them.
         prefetch_app_input(&app);
         if let Some(report) = self.stored_report(&app) {

@@ -4,10 +4,11 @@
 //! third-party lib policies. This crate turns the single-app [`PPChecker`]
 //! core into a corpus-scale runtime:
 //!
-//! * **Sharded scheduling** — [`Engine::run`] fans an app stream across a
-//!   worker pool (`jobs` threads) over a bounded channel, so a lazy corpus
-//!   source is consumed under backpressure instead of being materialized.
-//!   A panicking or failing app becomes one error record; the run survives.
+//! * **Sharded scheduling** — [`Engine::run`] fans an app stream across
+//!   `jobs` worker threads that pull from the source only while the
+//!   in-flight window has room, so a lazy corpus source is consumed under
+//!   backpressure instead of being materialized. A panicking or failing
+//!   app becomes one error record; the run survives.
 //! * **Artifact caching** — [`ArtifactCache`] memoizes parsed policy
 //!   analyses keyed by the interned symbol of the HTML, and the ESA
 //!   interpreter memoizes interpretation vectors by phrase symbol, so
@@ -24,8 +25,8 @@
 //!   replay from disk across process restarts, so a re-run over an
 //!   updated corpus only re-analyzes apps that actually changed
 //!   ([`diff_batches`] then reports the per-app verdict movement).
-//! * **A resident face** — the same scheduler is exported as
-//!   [`WorkerPool`] (long-lived workers, ticketed admission control),
+//! * **A resident face** — [`WorkerPool`] (long-lived workers, ticketed
+//!   admission control),
 //!   and [`Engine::check_one`] + [`Engine::metrics_snapshot`] serve
 //!   single requests against the warm caches; this is what the
 //!   `ppchecker-serve` daemon builds on.

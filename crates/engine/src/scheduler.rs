@@ -1,14 +1,10 @@
-//! The sharded work scheduler, in its two faces.
+//! The work scheduler, in its two faces.
 //!
-//! PR 1 buried the scheduler inside [`Engine::run`]: a bounded job
-//! channel feeding a worker pool that steals from one shared receiver.
-//! The serve daemon needs the same machinery with a different lifetime —
-//! workers that outlive any one call and admit work one request at a
-//! time — so the topology lives here, shared by both call shapes:
-//!
-//! - `run_scoped`: the batch face. Borrows the processing closure,
-//!   spawns scoped workers, feeds a bounded channel under backpressure,
-//!   and returns every result. This is what [`Engine::run`] uses.
+//! - `run_scoped_streamed`: the batch face. Borrows the source, the
+//!   processing closure and the sink, runs `jobs` scoped workers, and
+//!   hands every result to the sink in submission order while the run is
+//!   still in flight. This is what [`Engine::run`] and
+//!   [`Engine::run_streamed`] use.
 //! - [`WorkerPool`]: the resident face. `'static` workers pull boxed
 //!   jobs for the life of the process; callers must hold an
 //!   [`AdmitTicket`] (bounded capacity — the admission-control layer of
@@ -17,150 +13,192 @@
 //!   which is what turns into an HTTP 429; bulk transports use
 //!   [`WorkerPool::admit_blocking`] and get classic backpressure instead.
 //!
-//! Both faces share the single-consumer-lock dequeue idiom: jobs flow
-//! through one `mpsc` channel whose receiver sits behind a mutex held
-//! only for the dequeue itself, so distribution order is FIFO and a slow
-//! job never blocks the queue behind a fast worker.
-//!
 //! [`Engine::run`]: crate::Engine::run
+//! [`Engine::run_streamed`]: crate::Engine::run_streamed
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-/// Runs `process` over every item of `items` on `jobs` workers with a
-/// bounded feed channel of `depth`, returning `(index, result)` pairs in
-/// completion order. `jobs` must be ≥ 2 (the serial path belongs to the
-/// caller, which can run inline without any channel).
-pub(crate) fn run_scoped<T, R, F>(
-    items: impl IntoIterator<Item = T>,
-    jobs: usize,
-    depth: usize,
-    process: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let (job_tx, job_rx) = mpsc::sync_channel::<(usize, T)>(depth.max(1));
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (result_tx, result_rx) = mpsc::channel();
-
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            let job_rx = Arc::clone(&job_rx);
-            let result_tx = result_tx.clone();
-            let process = &process;
-            scope.spawn(move || loop {
-                // Hold the receiver lock only for the dequeue itself.
-                let wait = ppchecker_obs::span!("engine.queue_wait");
-                let job = job_rx.lock().expect("job queue lock").recv();
-                drop(wait);
-                match job {
-                    Ok((index, item)) => {
-                        if result_tx.send(process(index, item)).is_err() {
-                            break; // collector gone; shut down
-                        }
-                    }
-                    Err(_) => break, // producer done and queue drained
-                }
-            });
-        }
-        drop(result_tx);
-
-        // Produce under backpressure, then collect. The result channel
-        // is unbounded so workers never block sending while this
-        // thread is still feeding.
-        for job in items.into_iter().enumerate() {
-            if job_tx.send(job).is_err() {
-                break; // all workers died; stop feeding
-            }
-        }
-        drop(job_tx);
-
-        result_rx.iter().collect()
-    })
-}
-
-/// The streaming face of `run_scoped`: same worker topology, but results
-/// are handed to `emit` in submission order *while the run is still in
-/// flight*, and every channel is bounded. Nothing in this function holds
-/// more than `jobs + depth + result-bound` items at once, so memory stays
-/// constant no matter how long the input stream is — this is what lets a
-/// 100k–1M-app batch run without materializing either the corpus or the
-/// result vector.
+/// Runs `process` over every item of `items` on `jobs` scoped workers
+/// and hands each result to `sink` in submission order, as soon as every
+/// earlier result has been handed over.
 ///
-/// The producer moves to a scoped thread (hence the `I::IntoIter: Send`
-/// bound) so the calling thread can drain results concurrently; workers
-/// push into a *bounded* result channel, so a slow `emit` back-pressures
-/// the workers instead of buffering the whole run. Out-of-order
-/// completions park in a reorder buffer whose size is capped by the
-/// in-flight bound.
+/// There is no producer or collector thread: the workers do all of it.
+/// Each worker takes the next `(index, item)` from the source under one
+/// mutex, but only while fewer than `jobs + depth` items sit between the
+/// source and the sink — otherwise it waits for the sink to catch up, so
+/// memory stays constant no matter how long the stream is. It then runs
+/// `process` and parks the result in a reorder ring. The worker that
+/// parks the next index in line drains the run of ready results into
+/// `sink`; only one worker drains at a time, and the others keep taking
+/// work, so a slow sink never holds up a worker that only parks a result.
+///
+/// The sink runs on whichever worker drains, hence `S: Send`. A panic in
+/// the source, in `process` or in `sink` stops every worker from taking
+/// more work and is re-raised on the calling thread once all have exited.
 pub(crate) fn run_scoped_streamed<I, R, F, S>(
     items: I,
     jobs: usize,
     depth: usize,
     process: F,
-    emit: &mut S,
+    sink: S,
 ) where
     I: IntoIterator,
-    I::Item: Send,
     I::IntoIter: Send,
     R: Send,
     F: Fn(usize, I::Item) -> R + Sync,
-    S: FnMut(usize, R),
+    S: FnMut(usize, R) + Send,
 {
-    let depth = depth.max(1);
-    let (job_tx, job_rx) = mpsc::sync_channel::<(usize, I::Item)>(depth);
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (result_tx, result_rx) = mpsc::sync_channel::<(usize, R)>(jobs + depth);
-
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            let job_rx = Arc::clone(&job_rx);
-            let result_tx = result_tx.clone();
-            let process = &process;
-            scope.spawn(move || loop {
-                let wait = ppchecker_obs::span!("engine.queue_wait");
-                let job = job_rx.lock().expect("job queue lock").recv();
-                drop(wait);
-                match job {
-                    Ok((index, item)) => {
-                        if result_tx.send((index, process(index, item))).is_err() {
-                            break; // collector gone; shut down
-                        }
+    let window = jobs + depth.max(1);
+    let run = Run {
+        feed: Mutex::new(Feed { source: items.into_iter(), taken: 0, emitted: 0, closed: false }),
+        room: Condvar::new(),
+        ready: Mutex::new(Reorder {
+            slots: (0..window).map(|_| None).collect(),
+            next: 0,
+            draining: false,
+        }),
+        sink: Mutex::new(sink),
+        window,
+    };
+    let outcomes: Vec<thread::Result<()>> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                let (run, process) = (&run, &process);
+                scope.spawn(move || {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| run.work(process)));
+                    if outcome.is_err() {
+                        run.close();
                     }
-                    Err(_) => break, // producer done and queue drained
-                }
-            });
-        }
-        drop(result_tx);
-
-        let iter = items.into_iter();
-        scope.spawn(move || {
-            for job in iter.enumerate() {
-                if job_tx.send(job).is_err() {
-                    break; // all workers died; stop feeding
-                }
-            }
-            // job_tx drops here; workers see the disconnect once drained.
-        });
-
-        // In-order reassembly. `pending` can only hold results whose
-        // predecessors are still in flight, so it is bounded by the same
-        // in-flight cap as the channels.
-        let mut next = 0usize;
-        let mut pending: std::collections::BTreeMap<usize, R> = std::collections::BTreeMap::new();
-        for (index, result) in result_rx.iter() {
-            pending.insert(index, result);
-            while let Some(result) = pending.remove(&next) {
-                emit(next, result);
-                next += 1;
-            }
-        }
-        debug_assert!(pending.is_empty(), "stream ended with a gap in indices");
+                    outcome
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("worker panics are caught")).collect()
     });
+    if let Some(panic) = outcomes.into_iter().find_map(Result::err) {
+        resume_unwind(panic);
+    }
+}
+
+/// State shared by the workers of one `run_scoped_streamed` call.
+struct Run<It, R, S> {
+    feed: Mutex<Feed<It>>,
+    /// Signalled when the window gains room or the feed closes.
+    room: Condvar,
+    ready: Mutex<Reorder<R>>,
+    sink: Mutex<S>,
+    /// Most items taken from the source and not yet emitted.
+    window: usize,
+}
+
+struct Feed<It> {
+    source: It,
+    /// Items taken from the source; the next item's index.
+    taken: usize,
+    /// Results the sink has returned from.
+    emitted: usize,
+    /// The source is exhausted or a worker panicked: take nothing more.
+    closed: bool,
+}
+
+struct Reorder<R> {
+    /// Parked results; index `i` lives in slot `i % window`. Every index
+    /// in flight lies in `next..next + window`, so slots never collide.
+    slots: Vec<Option<R>>,
+    /// The next index the sink expects.
+    next: usize,
+    /// A worker is draining; invariant: when none is, slot `next` is empty.
+    draining: bool,
+}
+
+impl<It: Iterator, R, S: FnMut(usize, R)> Run<It, R, S> {
+    fn work<F: Fn(usize, It::Item) -> R>(&self, process: &F) {
+        let mut batch = Vec::new();
+        while let Some((index, item)) = self.take() {
+            let result = process(index, item);
+            let mut ready = lock(&self.ready);
+            ready.slots[index % self.window] = Some(result);
+            if ready.draining || index != ready.next {
+                continue;
+            }
+            ready.draining = true;
+            ready.take_run(&mut batch);
+            drop(ready);
+            self.drain(&mut batch);
+        }
+    }
+
+    /// The next `(index, item)` once the window has room, or `None` when
+    /// the feed is closed.
+    fn take(&self) -> Option<(usize, It::Item)> {
+        let wait = ppchecker_obs::span!("engine.queue_wait");
+        let mut feed = lock(&self.feed);
+        while !feed.closed && feed.taken - feed.emitted >= self.window {
+            feed = self.room.wait(feed).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(wait);
+        if feed.closed {
+            return None;
+        }
+        match feed.source.next() {
+            Some(item) => {
+                feed.taken += 1;
+                Some((feed.taken - 1, item))
+            }
+            None => {
+                drop(feed);
+                self.close();
+                None
+            }
+        }
+    }
+
+    /// Emits `batch`, then every run that was parked meanwhile, and gives
+    /// up the drainer role once the next index is still in flight.
+    fn drain(&self, batch: &mut Vec<(usize, R)>) {
+        let mut sink = lock(&self.sink);
+        loop {
+            let emitted = batch.len();
+            for (index, result) in batch.drain(..) {
+                (*sink)(index, result);
+            }
+            lock(&self.feed).emitted += emitted;
+            self.room.notify_all();
+            let mut ready = lock(&self.ready);
+            ready.take_run(batch);
+            if batch.is_empty() {
+                ready.draining = false;
+                return;
+            }
+        }
+    }
+
+    /// Stops every worker from taking more work.
+    fn close(&self) {
+        lock(&self.feed).closed = true;
+        self.room.notify_all();
+    }
+}
+
+impl<R> Reorder<R> {
+    /// Moves the run of consecutive ready results starting at `next` into
+    /// `batch`.
+    fn take_run(&mut self, batch: &mut Vec<(usize, R)>) {
+        let window = self.slots.len();
+        while let Some(result) = self.slots[self.next % window].take() {
+            batch.push((self.next, result));
+            self.next += 1;
+        }
+    }
+}
+
+/// Locks `mutex` even if a panicking worker poisoned it: a panic closes
+/// the feed, and the state each lock guards stays consistent across it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A unit of resident work.
@@ -433,17 +471,6 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn scoped_runs_every_item() {
-        let results = run_scoped(0..100usize, 4, 8, |index, item| {
-            assert_eq!(index, item);
-            item * 2
-        });
-        let mut results = results;
-        results.sort_unstable();
-        assert_eq!(results, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn streamed_emits_in_submission_order() {
         let mut seen = Vec::new();
         run_scoped_streamed(
@@ -454,7 +481,7 @@ mod tests {
                 assert_eq!(index, item);
                 item * 3
             },
-            &mut |index, result| seen.push((index, result)),
+            |index, result| seen.push((index, result)),
         );
         assert_eq!(seen.len(), 1000);
         for (i, (index, result)) in seen.iter().enumerate() {
@@ -465,18 +492,117 @@ mod tests {
 
     #[test]
     fn streamed_survives_a_lazy_unsized_source() {
-        // An iterator with no usable size hint and more items than any
-        // channel bound; the run must still complete in order.
+        // An iterator with no usable size hint and many times more items
+        // than the window; the run must still complete in order.
         let source = (0..500usize).filter(|i| i % 2 == 0);
         let mut count = 0usize;
         let mut last = None;
-        run_scoped_streamed(source, 3, 2, |_, item| item, &mut |index, item| {
-            assert_eq!(index * 2, item);
-            last = Some(item);
-            count += 1;
-        });
+        run_scoped_streamed(
+            source,
+            3,
+            2,
+            |_, item| item,
+            |index, item| {
+                assert_eq!(index * 2, item);
+                last = Some(item);
+                count += 1;
+            },
+        );
         assert_eq!(count, 250);
         assert_eq!(last, Some(498));
+    }
+
+    #[test]
+    fn streamed_source_never_runs_more_than_the_window_ahead_of_the_sink() {
+        for (jobs, depth) in [(2, 4), (8, 16)] {
+            let taken = AtomicUsize::new(0);
+            let emitted = AtomicUsize::new(0);
+            let most_ahead = AtomicUsize::new(0);
+            let source = (0..2000usize).inspect(|_| {
+                let ahead =
+                    taken.fetch_add(1, Ordering::SeqCst) + 1 - emitted.load(Ordering::SeqCst);
+                most_ahead.fetch_max(ahead, Ordering::SeqCst);
+            });
+            // Uneven work so results complete out of order.
+            let process = |index: usize, item: usize| {
+                if index.is_multiple_of(7) {
+                    thread::sleep(Duration::from_micros(200));
+                }
+                item
+            };
+            let mut count = 0;
+            run_scoped_streamed(source, jobs, depth, process, |index, item| {
+                assert_eq!((index, item), (count, count));
+                count += 1;
+                emitted.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(count, 2000);
+            let most_ahead = most_ahead.load(Ordering::SeqCst);
+            assert!(most_ahead <= jobs + depth, "jobs {jobs}: source ran {most_ahead} ahead");
+        }
+    }
+
+    /// Runs `body` on a fresh thread and returns whether it panicked,
+    /// failing the test if it has not finished within five seconds.
+    fn panics_within_timeout(body: impl FnOnce() + Send + 'static) -> bool {
+        let (done_tx, done_rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+            let _ = done_tx.send(outcome.is_err());
+        });
+        let panicked =
+            done_rx.recv_timeout(Duration::from_secs(5)).expect("scheduler wedged after a panic");
+        runner.join().expect("the runner catches the panic");
+        panicked
+    }
+
+    #[test]
+    fn streamed_panic_in_process_comes_out_of_the_scheduler() {
+        let panicked = panics_within_timeout(|| {
+            run_scoped_streamed(
+                0..10_000usize,
+                4,
+                2,
+                |index, item| {
+                    assert_ne!(index, 37, "process blew up");
+                    item
+                },
+                |_, _| {},
+            );
+        });
+        assert!(panicked);
+    }
+
+    #[test]
+    fn streamed_panic_in_sink_comes_out_of_the_scheduler() {
+        let panicked = panics_within_timeout(|| {
+            run_scoped_streamed(
+                0..10_000usize,
+                4,
+                2,
+                |_, item| item,
+                |index, _| {
+                    assert_ne!(index, 37, "sink blew up");
+                },
+            );
+        });
+        assert!(panicked);
+    }
+
+    #[test]
+    fn streamed_slow_sink_sees_every_record_once_in_order() {
+        let mut seen = Vec::new();
+        run_scoped_streamed(
+            0..200usize,
+            4,
+            2,
+            |_, item| item * 5,
+            |index, result| {
+                thread::sleep(Duration::from_millis(1));
+                seen.push((index, result));
+            },
+        );
+        assert_eq!(seen, (0..200).map(|i| (i, i * 5)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -85,14 +85,20 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so without a cap a body of a million
+/// `[` overflows a thread stack and aborts the process; 128 levels is far
+/// beyond any document this workspace reads or writes.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a description with a byte offset on malformed input or
-/// trailing garbage.
+/// Returns a description with a byte offset on malformed input, on
+/// nesting deeper than [`MAX_DEPTH`], or on trailing garbage.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -105,6 +111,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -129,8 +137,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') { self.object() } else { self.array() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -231,8 +246,10 @@ impl Parser<'_> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let low = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(combined)
+                                    (0xDC00..0xE000)
+                                        .contains(&low)
+                                        .then(|| 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -347,5 +364,17 @@ mod tests {
         assert!(parse("1 2").unwrap_err().contains("trailing"));
         assert!(parse("nul").is_err());
         assert!(parse(r#""\ud800x""#).is_err());
+        assert!(parse(r#""\ud800\u0041""#).is_err(), "high surrogate without a low one");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).unwrap_err().contains("nesting deeper"));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
+        // A million unclosed brackets: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 }

@@ -99,6 +99,20 @@ fn malformed_json_gets_400_and_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_json_gets_400_and_the_daemon_survives() {
+    // A million unclosed brackets (1 MB, under the 4 MiB body cap) once
+    // overflowed the connection thread's stack and aborted the process.
+    let handle = daemon(1, 2, false);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let (status, body) = client.request("POST", "/check", &"[".repeat(1_000_000)).unwrap();
+    assert_eq!(status, 400);
+    assert!(body.contains("nesting deeper"), "body: {body}");
+    let (status, _) = client.healthz().unwrap();
+    assert_eq!(status, 200);
+    shut_down(handle);
+}
+
+#[test]
 fn malformed_http_gets_400_then_close() {
     let handle = daemon(1, 2, false);
     let mut client = Client::connect(handle.addr()).unwrap();

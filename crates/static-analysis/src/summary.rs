@@ -96,9 +96,13 @@ impl LibSummary {
 /// survive across runs.
 ///
 /// Mirrors the engine's `ArtifactCache` discipline: compute outside the
-/// write lock, first insert wins, `misses` counts distinct lib contents
-/// *computed this run* — a summary replayed from the disk tier counts as
-/// a hit, since the kernel skipped the work either way.
+/// write lock, first insert wins, and the outcome is counted when it is
+/// known. A lookup that finds a summary is a hit; a miss is counted by
+/// `insert`, once per distinct lib content, and a losing insert (another
+/// worker computed the same lib concurrently) is a hit. So `misses`
+/// counts distinct lib contents *computed this run* however the workers
+/// race, and a summary replayed from the disk tier counts as a hit,
+/// since the kernel skipped the work either way.
 #[derive(Debug, Default)]
 pub struct TaintSummaryCache {
     map: RwLock<FnvMap<u64, Arc<LibSummary>>>,
@@ -120,22 +124,17 @@ impl TaintSummaryCache {
         let _ = self.disk.set(tier);
     }
 
-    /// Looks up the summary for a lib content hash, counting a hit or a
-    /// miss. On a memory miss the disk tier (when attached) is probed;
-    /// a decodable stored summary is promoted into memory and counts as
-    /// a hit, so `misses` stays "summaries computed this run".
+    /// Looks up the summary for a lib content hash, counting a hit when
+    /// one is found. On a memory miss the disk tier (when attached) is
+    /// probed; a decodable stored summary is promoted into memory and
+    /// counts as a hit. A lookup that finds nothing counts nothing: the
+    /// caller computes the summary and [`insert`](Self::insert) counts
+    /// the miss.
     pub(crate) fn get(&self, key: u64) -> Option<Arc<LibSummary>> {
         let hit = self.map.read().expect("summary cache lock").get(&key).cloned();
-        if let Some(summary) = hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(summary);
-        }
-        if let Some(summary) = self.load_from_disk(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(summary);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let summary = hit.or_else(|| self.load_from_disk(key))?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(summary)
     }
 
     /// Disk-tier probe: decode, promote into memory (first insert wins).
@@ -151,8 +150,9 @@ impl TaintSummaryCache {
     }
 
     /// Stores a freshly computed summary; the first insert wins so every
-    /// consumer shares one allocation. The winning insert is also
-    /// persisted to the disk tier when one is attached.
+    /// consumer shares one allocation. The winning insert counts a miss
+    /// and is persisted to the disk tier when one is attached; a losing
+    /// insert counts a hit.
     pub(crate) fn insert(&self, key: u64, summary: LibSummary) -> Arc<LibSummary> {
         let fresh = Arc::new(summary);
         let mut map = self.map.write().expect("summary cache lock");
@@ -163,19 +163,22 @@ impl TaintSummaryCache {
         }));
         drop(map);
         if won {
+            self.misses.fetch_add(1, Ordering::Relaxed);
             if let Some(tier) = self.disk.get() {
                 tier.save(RecordKind::LibSummary, key, &encode_lib_summary(&shared));
             }
+        } else {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         shared
     }
 
-    /// Lookups served from the cache.
+    /// Lookups served from the cache, plus inserts that lost a race.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that found no summary (distinct lib contents seen).
+    /// Summaries computed and inserted first (distinct lib contents).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -369,6 +372,9 @@ mod tests {
         let b = cache.insert(7, LibSummary::default());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.entries(), 1);
+        // Two workers that both missed: the winner's insert is the one
+        // miss, the loser's is a hit.
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
     }
 
     fn sample_summary() -> LibSummary {
@@ -492,6 +498,9 @@ mod tests {
         let cache = TaintSummaryCache::new();
         cache.attach_disk_tier(Arc::new(GarbageTier));
         assert!(cache.get(1).is_none());
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 0, "a corrupt record is not a hit");
+        // The kernel recomputes; its insert is the miss.
+        cache.insert(1, LibSummary::default());
+        assert_eq!((cache.misses(), cache.hits()), (1, 0));
     }
 }
