@@ -39,6 +39,7 @@ use ppchecker_core::{
     StageTimings,
 };
 use ppchecker_esa::Interpreter;
+use ppchecker_policy::SentenceMemoStats;
 use ppchecker_store::{combine_hashes, content_hash, ArtifactTier, RecordKind, Store};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -366,6 +367,7 @@ impl Engine {
         EngineSnapshot {
             lib_policies: self.lib_policies,
             policy_cache: self.cache.stats(),
+            sentence_memo: self.checker.analyzer().sentence_memo_stats(),
             esa_cache: CacheStats {
                 hits: esa_hits,
                 misses: esa_misses,
@@ -449,6 +451,7 @@ struct MetricsProbe {
     started: Instant,
     obs_before: Vec<(&'static str, ppchecker_obs::HistogramSnapshot)>,
     policy_before: CacheStats,
+    memo_before: SentenceMemoStats,
     taint_before: CacheStats,
     store_before: Option<StoreSummary>,
     esa_hits_before: u64,
@@ -467,6 +470,7 @@ impl MetricsProbe {
             started: Instant::now(),
             obs_before: ppchecker_obs::snapshot(),
             policy_before: engine.cache.stats(),
+            memo_before: engine.checker.analyzer().sentence_memo_stats(),
             taint_before: engine.cache.taint_summary_stats(),
             store_before: engine.store_summary(),
             esa_hits_before,
@@ -504,6 +508,7 @@ impl MetricsProbe {
                 misses: policy_after.misses - self.policy_before.misses,
                 entries: policy_after.entries,
             },
+            sentence_memo: engine.checker.analyzer().sentence_memo_stats().since(&self.memo_before),
             esa_cache: CacheStats {
                 hits: esa_hits_after - self.esa_hits_before,
                 misses: esa_misses_after - self.esa_misses_before,

@@ -55,5 +55,6 @@ pub use delta::{diff_batches, AppDelta, BatchDelta, DeltaKind, Verdict};
 pub use engine::{available_jobs, Engine, EngineConfig, StreamSummary};
 pub use metrics::{EngineSnapshot, MetricsSummary, StoreSummary};
 pub use pipeline::{sharded_stream, ShardedStream};
+pub use ppchecker_policy::SentenceMemoStats;
 pub use report::{AggregateSummary, AppOutcome, AppRecord, BatchReport};
 pub use scheduler::{AdmitError, AdmitTicket, PoolStats, WorkerPool};

@@ -9,6 +9,7 @@ use crate::cache::CacheStats;
 use ppchecker_core::{DetectorId, StageTimings};
 use ppchecker_nlp::InternerStats;
 use ppchecker_obs::HistogramSnapshot;
+use ppchecker_policy::SentenceMemoStats;
 use ppchecker_store::{RecordKind, Store, StoreStats};
 use std::fmt;
 use std::time::Duration;
@@ -127,6 +128,8 @@ pub struct EngineSnapshot {
     pub lib_policies: usize,
     /// Policy artifact cache totals.
     pub policy_cache: CacheStats,
+    /// Sentence-memo totals of the checker's policy analyzer.
+    pub sentence_memo: SentenceMemoStats,
     /// ESA interpretation-vector cache totals (process-wide).
     pub esa_cache: CacheStats,
     /// ESA symbol-pair verdict-memo totals.
@@ -166,6 +169,9 @@ pub struct MetricsSummary {
     /// Policy artifact cache counters (app policies only; lib policies
     /// enter the cache during construction).
     pub policy_cache: CacheStats,
+    /// The policy analyzer's sentence-memo counters: hits and misses as
+    /// a delta over the run, occupancy and `full` at its end.
+    pub sentence_memo: SentenceMemoStats,
     /// ESA interpretation-vector cache counters, as a delta over the run
     /// (the interpreter is process-wide).
     pub esa_cache: CacheStats,
@@ -273,6 +279,16 @@ impl fmt::Display for MetricsSummary {
         )?;
         writeln!(
             f,
+            "sentence memo: {} hits / {} misses ({:.1}% hit rate, {} entries, {} bytes{})",
+            self.sentence_memo.hits,
+            self.sentence_memo.misses,
+            self.sentence_memo.hit_rate() * 100.0,
+            self.sentence_memo.entries,
+            self.sentence_memo.bytes,
+            if self.sentence_memo.full { ", full" } else { "" },
+        )?;
+        writeln!(
+            f,
             "esa cache: {} hits / {} misses ({:.1}% hit rate)",
             self.esa_cache.hits,
             self.esa_cache.misses,
@@ -346,6 +362,7 @@ mod tests {
         let m = MetricsSummary::default();
         let text = m.to_string();
         assert!(text.contains("policy cache"));
+        assert!(text.contains("sentence memo"));
         assert!(text.contains("stages:"));
         assert!(text.contains("interner:"));
         assert!(text.contains("pair memo"));

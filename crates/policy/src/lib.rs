@@ -27,6 +27,7 @@ pub mod diff;
 pub mod disclaimer;
 pub mod elements;
 pub mod html;
+pub mod memo;
 pub mod negation;
 pub mod patterns;
 pub mod persist;
@@ -39,6 +40,7 @@ pub mod wire;
 pub use bootstrap::{score_patterns, select_top_n, Bootstrapper, CorpusSentence, ScoredPattern};
 pub use diff::{diff, PolicyDiff, Statement};
 pub use elements::{Constraint, ConstraintKind, Elements};
+pub use memo::SentenceMemoStats;
 pub use patterns::{match_sentence, Pattern, PatternKind, SentenceMatch};
 pub use persist::{from_text as patterns_from_text, to_text as patterns_to_text};
 pub use pipeline::{AnalyzedSentence, PolicyAnalysis, PolicyAnalyzer};

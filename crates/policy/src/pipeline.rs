@@ -5,6 +5,7 @@
 use crate::disclaimer;
 use crate::elements::{self, Constraint, Elements};
 use crate::html;
+use crate::memo::{SentenceMemo, SentenceMemoStats};
 use crate::negation;
 use crate::patterns::{match_sentence, Pattern, PatternKind};
 use crate::purpose::{detect_purpose, PurposeClaim};
@@ -14,7 +15,7 @@ use ppchecker_nlp::intern::{Interner, Symbol};
 use ppchecker_nlp::sentence::split_sentences;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A useful sentence with its extracted elements.
 #[derive(Debug, Clone)]
@@ -51,8 +52,9 @@ impl AnalyzedSentence {
 /// The analysis of one privacy policy.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyAnalysis {
-    /// The useful sentences.
-    pub sentences: Vec<AnalyzedSentence>,
+    /// The useful sentences. Policies that share a sentence text share
+    /// its analysis (see [`crate::memo`]).
+    pub sentences: Vec<Arc<AnalyzedSentence>>,
     /// Total sentences in the document (before selection).
     pub total_sentences: usize,
     /// `true` if the policy disclaims responsibility for third parties.
@@ -99,12 +101,12 @@ impl PolicyAnalysis {
 
     /// Positive sentences (for Algorithm 5's lib side).
     pub fn positive_sentences(&self) -> impl Iterator<Item = &AnalyzedSentence> {
-        self.sentences.iter().filter(|s| !s.negative)
+        self.sentences.iter().map(|s| &**s).filter(|s| !s.negative)
     }
 
     /// Negative sentences (for Algorithm 5's app side).
     pub fn negative_sentences(&self) -> impl Iterator<Item = &AnalyzedSentence> {
-        self.sentences.iter().filter(|s| s.negative)
+        self.sentences.iter().map(|s| &**s).filter(|s| s.negative)
     }
 }
 
@@ -139,10 +141,15 @@ const OBJECT_BLACKLIST: &[&str] = &[
 /// The stock pattern table (seeds + curated mined patterns) is built once
 /// per process and borrowed by every [`PolicyAnalyzer::new`] instance;
 /// only analyzers with custom or expanded pattern lists own their table.
+///
+/// Each analyzer memoizes its per-sentence results (see [`crate::memo`]).
+/// Clones share the memo; every `with_*` reconfiguration starts a fresh
+/// one, so a memo only ever holds results of one configuration.
 #[derive(Debug, Clone)]
 pub struct PolicyAnalyzer {
     patterns: Cow<'static, [Pattern]>,
     model_constraints: bool,
+    memo: Arc<SentenceMemo>,
 }
 
 impl Default for PolicyAnalyzer {
@@ -155,13 +162,21 @@ impl PolicyAnalyzer {
     /// An analyzer with the seed patterns plus the curated mined patterns
     /// the deployed system ships with.
     pub fn new() -> Self {
-        PolicyAnalyzer { patterns: Cow::Borrowed(default_pattern_set()), model_constraints: false }
+        PolicyAnalyzer {
+            patterns: Cow::Borrowed(default_pattern_set()),
+            model_constraints: false,
+            memo: Arc::default(),
+        }
     }
 
     /// An analyzer over an explicit (e.g. freshly bootstrapped) pattern
     /// list.
     pub fn with_patterns(patterns: Vec<Pattern>) -> Self {
-        PolicyAnalyzer { patterns: Cow::Owned(patterns), model_constraints: false }
+        PolicyAnalyzer {
+            patterns: Cow::Owned(patterns),
+            model_constraints: false,
+            memo: Arc::default(),
+        }
     }
 
     /// The active pattern list.
@@ -195,6 +210,7 @@ impl PolicyAnalyzer {
     /// incorrect/inconsistent findings.
     pub fn with_constraint_modeling(mut self) -> Self {
         self.model_constraints = true;
+        self.memo = Arc::default();
         self
     }
 
@@ -208,7 +224,13 @@ impl PolicyAnalyzer {
                 patterns.push(p);
             }
         }
+        self.memo = Arc::default();
         self
+    }
+
+    /// Counters of this analyzer's sentence memo (shared by its clones).
+    pub fn sentence_memo_stats(&self) -> SentenceMemoStats {
+        self.memo.stats()
     }
 
     /// Analyzes a privacy policy delivered as HTML.
@@ -217,7 +239,10 @@ impl PolicyAnalyzer {
         self.analyze_text(&html::extract_text(html_doc))
     }
 
-    /// Analyzes plain policy text.
+    /// Analyzes plain policy text. Each non-disclaimer sentence is looked
+    /// up in the sentence memo before [`analyze_sentence`] runs on it.
+    ///
+    /// [`analyze_sentence`]: PolicyAnalyzer::analyze_sentence
     pub fn analyze_text(&self, text: &str) -> PolicyAnalysis {
         let sents = split_sentences(text);
         let mut analysis =
@@ -227,7 +252,7 @@ impl PolicyAnalyzer {
                 analysis.has_disclaimer = true;
                 continue;
             }
-            if let Some(a) = self.analyze_sentence(&sent) {
+            if let Some(a) = self.memo.get_or_analyze(&sent, |s| self.analyze_sentence(s)) {
                 analysis.sentences.push(a);
             }
         }
@@ -522,6 +547,31 @@ mod constraint_tests {
         let c = analyzer.analyze_text("we may collect your location with your consent.");
         assert_eq!(c.sentences.len(), 1);
         assert!(c.sentences[0].conditional);
+    }
+
+    /// A reconfigured analyzer starts a fresh memo: results the stock
+    /// analyzer memoized never leak into another configuration.
+    #[test]
+    fn reconfiguration_never_reads_the_stock_memo() {
+        const DISPLAY: &str = "we will not display any of your personal information.";
+        let stock = PolicyAnalyzer::new();
+        assert!(stock.analyze_text(DISPLAY).sentences.is_empty());
+        assert_eq!(stock.analyze_text(CONDITIONAL_DENIAL).sentences.len(), 1);
+        assert_eq!(stock.sentence_memo_stats().entries, 2);
+
+        let expanded = stock.clone().with_synonym_expansion();
+        assert_eq!(expanded.analyze_text(DISPLAY).sentences.len(), 1);
+        let constrained = stock.clone().with_constraint_modeling();
+        assert!(constrained.analyze_text(CONDITIONAL_DENIAL).sentences.is_empty());
+        for fresh in [&expanded, &constrained] {
+            let stats = fresh.sentence_memo_stats();
+            assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+        }
+
+        // Clones share the memo.
+        let shared = stock.clone();
+        assert_eq!(shared.analyze_text(CONDITIONAL_DENIAL).sentences.len(), 1);
+        assert_eq!(stock.sentence_memo_stats().hits, 1);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::purpose::{Purpose, PurposeClaim};
 use crate::verbs::VerbCategory;
 use ppchecker_nlp::intern::intern;
 use ppchecker_store::{WireError, WireReader, WireWriter};
+use std::sync::Arc;
 
 fn category_byte(c: VerbCategory) -> u8 {
     match c {
@@ -113,17 +114,21 @@ pub fn decode_analysis(bytes: &[u8]) -> Result<PolicyAnalysis, WireError> {
         let n_con = r.seq()?;
         let mut constraints = Vec::with_capacity(n_con);
         for _ in 0..n_con {
-            let kind = if r.u8()? == 1 { ConstraintKind::Pre } else { ConstraintKind::Post };
+            let kind = match r.u8()? {
+                0 => ConstraintKind::Post,
+                1 => ConstraintKind::Pre,
+                other => return Err(WireError(format!("bad constraint kind {other}"))),
+            };
             constraints.push(Constraint { kind, text: r.str()?.to_string() });
         }
-        sentences.push(AnalyzedSentence {
+        sentences.push(Arc::new(AnalyzedSentence {
             text,
             category,
             negative,
             conditional,
             purpose,
             elements: Elements { main_verb, executor, resources, constraints },
-        });
+        }));
     }
     if !r.is_exhausted() {
         return Err(WireError("trailing bytes after analysis".into()));
@@ -197,10 +202,85 @@ mod tests {
     }
 
     #[test]
+    fn bad_constraint_kind_rejected() {
+        let original = PolicyAnalyzer::new()
+            .analyze_text("we collect your email address when you register an account.");
+        assert!(original.sentences.iter().any(|s| !s.elements.constraints.is_empty()));
+        let mut bytes = encode_analysis(&original);
+        // The last constraint's kind byte sits just before its text.
+        let text = &original.sentences.last().unwrap().elements.constraints.last().unwrap().text;
+        let at = bytes.len() - text.len() - 5;
+        assert!(bytes[at] <= 1);
+        bytes[at] = 2;
+        assert!(decode_analysis(&bytes).is_err());
+    }
+
+    #[test]
     fn empty_analysis_round_trips() {
         let empty = PolicyAnalysis::default();
         let decoded = decode_analysis(&encode_analysis(&empty)).unwrap();
         assert!(decoded.sentences.is_empty());
         assert_eq!(decoded.total_sentences, 0);
+    }
+
+    mod totality {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// Encodings of real analyses: negation, consent exceptions,
+        /// purposes, constraints, a disclaimer and an empty analysis.
+        fn real_encodings() -> &'static [Vec<u8>] {
+            static ENCODINGS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+            ENCODINGS.get_or_init(|| {
+                let analyzer = PolicyAnalyzer::new();
+                [
+                    "We are not responsible for third party sites. \
+                     We may collect your location and your device id if you agree. \
+                     We will not share your contacts without your consent.",
+                    "We use your device id only to provide app functionality. \
+                     We collect your email address when you register an account.",
+                    "",
+                ]
+                .iter()
+                .map(|text| encode_analysis(&analyzer.analyze_text(text)))
+                .collect()
+            })
+        }
+
+        /// Decoding is total, and whatever it accepts re-encodes to the
+        /// same bytes (the codec has one encoding per analysis).
+        fn check(bytes: &[u8]) -> Result<(), String> {
+            if let Ok(analysis) = decode_analysis(bytes) {
+                prop_assert_eq!(encode_analysis(&analysis), bytes.to_vec());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn random_bytes_decode_or_fail(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+                check(&bytes)?;
+            }
+
+            #[test]
+            fn truncated_encodings_decode_or_fail(which in 0usize..3, cut in any::<usize>()) {
+                let bytes = &real_encodings()[which];
+                check(&bytes[..cut % (bytes.len() + 1)])?;
+            }
+
+            #[test]
+            fn bit_flipped_encodings_decode_or_fail(
+                which in 0usize..3,
+                flips in prop::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            ) {
+                let mut bytes = real_encodings()[which].clone();
+                for (at, bit) in flips {
+                    let at = at % bytes.len();
+                    bytes[at] ^= 1 << bit;
+                }
+                check(&bytes)?;
+            }
+        }
     }
 }

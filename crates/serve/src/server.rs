@@ -42,7 +42,7 @@ use crate::json;
 use crate::jsonl;
 use crate::ServeConfig;
 use ppchecker_core::{AppInput, DetectorId};
-use ppchecker_engine::{AdmitError, CacheStats, Engine, WorkerPool};
+use ppchecker_engine::{AdmitError, CacheStats, Engine, SentenceMemoStats, WorkerPool};
 use std::io::{self, BufReader, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -594,6 +594,18 @@ fn cache_to_json(stats: &CacheStats) -> String {
     )
 }
 
+fn memo_to_json(stats: &SentenceMemoStats) -> String {
+    format!(
+        "{{\"hits\":{},\"misses\":{},\"entries\":{},\"bytes\":{},\"full\":{},\"hit_rate\":{:.4}}}",
+        stats.hits,
+        stats.misses,
+        stats.entries,
+        stats.bytes,
+        stats.full,
+        stats.hit_rate(),
+    )
+}
+
 /// Renders the persistent-store section of `/metrics`, or the literal
 /// `null` when the daemon runs without a store.
 fn store_to_json(store: Option<&ppchecker_engine::StoreSummary>) -> String {
@@ -657,8 +669,8 @@ fn metrics_to_json(shared: &Shared) -> String {
          \"detectors\":{{{}}},\
          \"queue\":{{\"workers\":{},\"capacity\":{},\"inflight\":{},\"draining\":{}}},\
          \"lib_policies\":{},\
-         \"caches\":{{\"policy\":{},\"policy_cap\":{},\"esa_vectors\":{},\"esa_pair_memo\":{},\
-         \"esa_pruned\":{},\"taint_summaries\":{}}},\
+         \"caches\":{{\"policy\":{},\"policy_cap\":{},\"sentence_memo\":{},\"esa_vectors\":{},\
+         \"esa_pair_memo\":{},\"esa_pruned\":{},\"taint_summaries\":{}}},\
          \"store\":{},\
          \"interner\":{{\"symbols\":{},\"preseeded\":{},\"bytes\":{},\"soft_cap_bytes\":{},\
          \"over_soft_cap\":{},\"over_cap_interns\":{}}},\
@@ -680,6 +692,7 @@ fn metrics_to_json(shared: &Shared) -> String {
         engine.lib_policies,
         cache_to_json(&engine.policy_cache),
         shared.engine.cache().cap(),
+        memo_to_json(&engine.sentence_memo),
         cache_to_json(&engine.esa_cache),
         cache_to_json(&engine.esa_pair_memo),
         engine.esa_pruned,

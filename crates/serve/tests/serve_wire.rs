@@ -75,6 +75,10 @@ fn check_roundtrips_and_second_pass_hits_warm_caches() {
         "taint summary cache never hit"
     );
     assert!(number(&metrics, &["caches", "esa_vectors", "hits"]) > 0.0, "esa cache never hit");
+    assert!(
+        number(&metrics, &["caches", "sentence_memo", "misses"]) > 0.0,
+        "sentence memo never analyzed"
+    );
     assert!(number(&metrics, &["requests", "checks_ok"]) >= 6.0);
     assert!(number(&metrics, &["interner", "symbols"]) > 0.0);
     assert!(number(&metrics, &["interner", "soft_cap_bytes"]) > 0.0);
