@@ -4,12 +4,14 @@ use crate::dex::Dex;
 use crate::manifest::Manifest;
 use crate::packer::{self, ParseDexError};
 use std::fmt;
+use std::sync::Arc;
 
 /// The dex payload of an APK: plain or hidden by a packer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
-    /// An ordinary, directly-readable dex.
-    Plain(Dex),
+    /// An ordinary, directly-readable dex, shared with the analyses that
+    /// read it.
+    Plain(Arc<Dex>),
     /// A packed dex blob that must be recovered first (cf. DexHunter).
     Packed(Vec<u8>),
 }
@@ -37,7 +39,7 @@ pub struct Apk {
 impl Apk {
     /// Creates an APK with a plain dex.
     pub fn new(manifest: Manifest, dex: Dex) -> Self {
-        Apk { manifest, payload: Payload::Plain(dex) }
+        Apk { manifest, payload: Payload::Plain(Arc::new(dex)) }
     }
 
     /// Creates an APK whose dex is packed with `key` (as a packer would).
@@ -64,15 +66,18 @@ impl Apk {
     /// Returns the dex, recovering it with the unpacker if necessary.
     ///
     /// This mirrors the paper's flow: "If the app is packed, we use our
-    /// unpacking tool DexHunter to recover the dex file."
+    /// unpacking tool DexHunter to recover the dex file." A plain dex is
+    /// shared, not copied; a packed one is recovered into a fresh
+    /// allocation. Callers that edit the dex clone it with
+    /// `Dex::clone(&*apk.dex()?)`.
     ///
     /// # Errors
     ///
     /// Returns [`ParseDexError`] if a packed payload cannot be recovered.
-    pub fn dex(&self) -> Result<Dex, ParseDexError> {
+    pub fn dex(&self) -> Result<Arc<Dex>, ParseDexError> {
         match &self.payload {
-            Payload::Plain(d) => Ok(d.clone()),
-            Payload::Packed(blob) => packer::unpack(blob),
+            Payload::Plain(d) => Ok(Arc::clone(d)),
+            Payload::Packed(blob) => packer::unpack(blob).map(Arc::new),
         }
     }
 
@@ -141,7 +146,7 @@ mod tests {
     fn plain_apk_exposes_dex() {
         let apk = Apk::new(Manifest::new("com.x"), dex());
         assert!(!apk.is_packed());
-        assert_eq!(apk.dex().unwrap(), dex());
+        assert_eq!(*apk.dex().unwrap(), dex());
         assert!(apk.plain_dex().is_some());
     }
 
@@ -150,7 +155,7 @@ mod tests {
         let apk = Apk::new_packed(Manifest::new("com.x"), &dex(), 0x33);
         assert!(apk.is_packed());
         assert!(apk.plain_dex().is_none());
-        assert_eq!(apk.dex().unwrap(), dex());
+        assert_eq!(*apk.dex().unwrap(), dex());
     }
 
     #[test]

@@ -10,11 +10,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppchecker_bench::emit::BenchResult;
 use ppchecker_corpus::small_dataset;
-use ppchecker_static::apg::Apg;
-use ppchecker_static::graph::NodeId;
+use ppchecker_static::apg::{Apg, MethodSet};
 use ppchecker_static::{reach, taint};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -55,7 +53,7 @@ fn alloc_snapshot() -> (u64, u64) {
 
 /// The 50-app golden corpus, pre-built to APGs with their reachable sets
 /// so the bench isolates the taint fixpoint from dex parsing.
-fn golden_apgs() -> Vec<(Apg, HashSet<NodeId>)> {
+fn golden_apgs() -> Vec<(Apg, MethodSet)> {
     small_dataset(42, 50)
         .apps
         .iter()
@@ -67,22 +65,22 @@ fn golden_apgs() -> Vec<(Apg, HashSet<NodeId>)> {
         .collect()
 }
 
-fn run_reference(apps: &[(Apg, HashSet<NodeId>)]) -> usize {
+fn run_reference(apps: &[(Apg, MethodSet)]) -> usize {
     apps.iter().map(|(apg, methods)| taint::analyze_reference(apg, methods).len()).sum()
 }
 
-fn run_kernel_cold(apps: &[(Apg, HashSet<NodeId>)]) -> usize {
+fn run_kernel_cold(apps: &[(Apg, MethodSet)]) -> usize {
     apps.iter().map(|(apg, methods)| taint::analyze(apg, methods).len()).sum()
 }
 
 fn run_kernel_cached(
-    apps: &[(Apg, HashSet<NodeId>)],
+    apps: &[(Apg, MethodSet)],
     cache: &ppchecker_static::TaintSummaryCache,
 ) -> usize {
     apps.iter().map(|(apg, methods)| taint::analyze_cached(apg, methods, Some(cache)).len()).sum()
 }
 
-fn run_reachability(apps: &[(Apg, HashSet<NodeId>)]) -> usize {
+fn run_reachability(apps: &[(Apg, MethodSet)]) -> usize {
     apps.iter().map(|(apg, _)| reach::reachable_methods(apg).len()).sum()
 }
 
@@ -101,7 +99,7 @@ fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> Duration {
 /// One-shot report: cold fixpoint reference vs kernel (the acceptance
 /// number), warm summary-cache pass, reachability-only, and per-app
 /// allocation counts for both engines. Every duration is best-of-3.
-fn report_taint(apps: &[(Apg, HashSet<NodeId>)]) {
+fn report_taint(apps: &[(Apg, MethodSet)]) {
     let n = apps.len();
     println!("taint_fixpoint: {n} apps (golden corpus)");
 
@@ -155,7 +153,7 @@ fn report_taint(apps: &[(Apg, HashSet<NodeId>)]) {
 /// summary cache's home turf — replaying `F_m(∅)` leaves every lib
 /// method's inputs at ∅, so the warm fixpoint skips their
 /// interpretation entirely instead of re-queueing them.
-fn lib_heavy_apps(n: usize) -> Vec<(Apg, HashSet<NodeId>)> {
+fn lib_heavy_apps(n: usize) -> Vec<(Apg, MethodSet)> {
     use ppchecker_apk::{Apk, ComponentKind, Dex, Manifest};
     (0..n)
         .map(|i| {
@@ -229,7 +227,7 @@ fn report_lib_heavy() {
 /// Per-run cold-fixpoint latencies over the golden corpus, emitted as
 /// `BENCH_taint.json` (see [`ppchecker_bench::emit`]); warmup runs are
 /// discarded so the quantiles report steady state, not lazy-init cost.
-fn emit_bench_json(apps: &[(Apg, HashSet<NodeId>)]) {
+fn emit_bench_json(apps: &[(Apg, MethodSet)]) {
     const WARMUP: usize = 2;
     const RUNS: usize = 10;
     for _ in 0..WARMUP {

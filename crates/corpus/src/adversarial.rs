@@ -10,7 +10,7 @@
 
 use crate::generate::generate_app;
 use crate::plan::AppSpec;
-use ppchecker_apk::{Apk, Insn, PrivateInfo};
+use ppchecker_apk::{Apk, Dex, Insn, PrivateInfo};
 use ppchecker_core::AppInput;
 use ppchecker_policy::VerbCategory;
 
@@ -20,7 +20,7 @@ use ppchecker_policy::VerbCategory;
 /// paper's intro describes. The policy is left untouched, so a previously
 /// complete policy becomes incomplete.
 pub fn repackage(app: &AppInput, stolen: &[PrivateInfo]) -> AppInput {
-    let mut dex = app.apk.dex().expect("input app has a readable dex");
+    let mut dex = Dex::clone(&*app.apk.dex().expect("input app has a readable dex"));
     let mal_class = format!("{}.update.SyncHelper", app.package);
 
     // The injected payload: harvest each target and push it to a C2 server.

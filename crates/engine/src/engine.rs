@@ -380,6 +380,7 @@ impl Engine {
             },
             esa_pruned: esa.pruned_comparisons(),
             taint_summary_cache: self.cache.taint_summary_stats(),
+            taint_reference_fallbacks: self.cache.taint_summaries().reference_fallbacks(),
             interner: ppchecker_nlp::Interner::global().stats(),
             store: self.store_summary(),
         }
@@ -453,6 +454,7 @@ struct MetricsProbe {
     policy_before: CacheStats,
     memo_before: SentenceMemoStats,
     taint_before: CacheStats,
+    fallbacks_before: u64,
     store_before: Option<StoreSummary>,
     esa_hits_before: u64,
     esa_misses_before: u64,
@@ -472,6 +474,7 @@ impl MetricsProbe {
             policy_before: engine.cache.stats(),
             memo_before: engine.checker.analyzer().sentence_memo_stats(),
             taint_before: engine.cache.taint_summary_stats(),
+            fallbacks_before: engine.cache.taint_summaries().reference_fallbacks(),
             store_before: engine.store_summary(),
             esa_hits_before,
             esa_misses_before,
@@ -525,6 +528,8 @@ impl MetricsProbe {
                 misses: taint_after.misses - self.taint_before.misses,
                 entries: taint_after.entries,
             },
+            taint_reference_fallbacks: engine.cache.taint_summaries().reference_fallbacks()
+                - self.fallbacks_before,
             detector_findings: [0; ppchecker_core::DetectorId::COUNT],
             interner: ppchecker_nlp::Interner::global().stats(),
             store: engine

@@ -138,6 +138,9 @@ pub struct EngineSnapshot {
     pub esa_pruned: u64,
     /// Cross-app library taint-summary cache totals.
     pub taint_summary_cache: CacheStats,
+    /// Apps whose taint analysis ran on the reference engine instead of
+    /// the kernel (duplicate method declarations or > 256 taint labels).
+    pub taint_reference_fallbacks: u64,
     /// Global interner occupancy.
     pub interner: InternerStats,
     /// Persistent-store totals since the store was opened; `None` when
@@ -184,6 +187,10 @@ pub struct MetricsSummary {
     /// the run (`misses` counts distinct embedded lib contents, `hits`
     /// apps that reused another app's lib summaries).
     pub taint_summary_cache: CacheStats,
+    /// Apps whose taint analysis ran on the reference engine instead of
+    /// the kernel (duplicate method declarations or > 256 taint labels),
+    /// as a delta over the run.
+    pub taint_reference_fallbacks: u64,
     /// Global interner occupancy at the end of the run (process-wide:
     /// includes the static pre-seed plus everything interned so far).
     pub interner: InternerStats,
@@ -311,6 +318,7 @@ impl fmt::Display for MetricsSummary {
             self.taint_summary_cache.hit_rate() * 100.0,
             self.taint_summary_cache.entries,
         )?;
+        writeln!(f, "taint reference fallbacks: {} apps", self.taint_reference_fallbacks)?;
         if let Some(store) = &self.store {
             writeln!(
                 f,

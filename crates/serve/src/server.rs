@@ -669,6 +669,7 @@ fn metrics_to_json(shared: &Shared) -> String {
          \"detectors\":{{{}}},\
          \"queue\":{{\"workers\":{},\"capacity\":{},\"inflight\":{},\"draining\":{}}},\
          \"lib_policies\":{},\
+         \"taint_reference_fallbacks\":{},\
          \"caches\":{{\"policy\":{},\"policy_cap\":{},\"sentence_memo\":{},\"esa_vectors\":{},\
          \"esa_pair_memo\":{},\"esa_pruned\":{},\"taint_summaries\":{}}},\
          \"store\":{},\
@@ -690,6 +691,7 @@ fn metrics_to_json(shared: &Shared) -> String {
         queue.inflight,
         queue.draining,
         engine.lib_policies,
+        engine.taint_reference_fallbacks,
         cache_to_json(&engine.policy_cache),
         shared.engine.cache().cap(),
         memo_to_json(&engine.sentence_memo),

@@ -80,6 +80,7 @@ fn check_roundtrips_and_second_pass_hits_warm_caches() {
         "sentence memo never analyzed"
     );
     assert!(number(&metrics, &["requests", "checks_ok"]) >= 6.0);
+    assert_eq!(number(&metrics, &["taint_reference_fallbacks"]), 0.0, "corpus apps fit the kernel");
     assert!(number(&metrics, &["interner", "symbols"]) > 0.0);
     assert!(number(&metrics, &["interner", "soft_cap_bytes"]) > 0.0);
     shut_down(handle);

@@ -1,16 +1,15 @@
 //! The top-level static analysis module: computes `Collect_code` and
 //! `Retain_code` for an app, plus the set of embedded third-party libs.
 
-use crate::apg::Apg;
+use crate::apg::{Apg, MethodSet};
 use crate::consts::{self, UriValue};
-use crate::graph::NodeId;
-use crate::libs::{self, KnownLib};
+use crate::libs::KnownLib;
 use crate::reach;
 use crate::sensitive;
 use crate::taint::{self, Leak};
 use crate::uris;
 use ppchecker_apk::{Apk, Insn, ParseDexError, PrivateInfo};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Ablation switches (all on by default, matching the paper's system).
 #[derive(Debug, Clone, Copy)]
@@ -103,63 +102,58 @@ pub fn analyze_with_cache(
         let _span = ppchecker_obs::span!("static.apg_build");
         Apg::build(apk)?
     };
-    let package = apk.manifest.package.clone();
+    let package = apk.manifest.package.as_str();
 
-    let in_scope: HashSet<NodeId> = if opts.reachability {
+    let in_scope = if opts.reachability {
         reach::reachable_methods(&apg)
     } else {
-        apg.method_ids.values().copied().collect()
+        MethodSet::full(apg.method_count())
     };
 
     let mut report = StaticReport {
-        libs: libs::detect_libs(&apg.dex),
+        libs: apg.libs().to_vec(),
         reachable_method_count: in_scope.len(),
         ..StaticReport::default()
     };
 
-    // Collect_code: scan sensitive API invocations and query() URIs.
+    // Collect_code: scan sensitive API invocations and query() URIs of
+    // every body, reachable when its method id is.
     let scan_span = ppchecker_obs::span!("static.scan");
-    for class in &apg.dex.classes {
-        for m in &class.methods {
-            let mid = apg.method_ids[&(class.name.clone(), m.name.clone())];
-            let reachable = in_scope.contains(&mid);
-            let app_owned = class.name.starts_with(&package);
-            let record = |info: PrivateInfo, api: String, report: &mut StaticReport| {
-                let site = Callsite { class: class.name.clone(), method: m.name.clone(), api };
-                let map = if app_owned { &mut report.collected } else { &mut report.lib_collected };
-                let sites = map.entry(info).or_default();
-                if !sites.contains(&site) {
-                    sites.push(site);
-                }
-            };
+    for ((class, m), &id) in apg.dex.iter_methods().zip(apg.body_ids()) {
+        let reachable = in_scope.contains(id);
+        let app_owned = class.name.starts_with(package);
+        let record = |info: PrivateInfo, api: String, report: &mut StaticReport| {
+            let map = if app_owned { &mut report.collected } else { &mut report.lib_collected };
+            let sites = map.entry(info).or_default();
+            if !sites.iter().any(|s| s.class == class.name && s.method == m.name && s.api == api) {
+                sites.push(Callsite { class: class.name.clone(), method: m.name.clone(), api });
+            }
+        };
 
-            for insn in &m.instructions {
-                let Insn::Invoke { class: cc, method: mm, .. } = insn else {
-                    continue;
-                };
-                if let Some(api) = sensitive::lookup(cc, mm) {
-                    if reachable {
-                        record(api.info, format!("{cc}.{mm}"), &mut report);
-                    } else {
-                        report.unreachable_sensitive_calls += 1;
-                    }
+        for insn in &m.instructions {
+            let Insn::Invoke { class: cc, method: mm, .. } = insn else {
+                continue;
+            };
+            if let Some(api) = sensitive::lookup(cc, mm) {
+                if reachable {
+                    record(api.info, format!("{cc}.{mm}"), &mut report);
+                } else {
+                    report.unreachable_sensitive_calls += 1;
                 }
             }
+        }
 
-            if opts.uri_analysis {
-                for (_, uri) in consts::query_sites(m) {
-                    let (info, api) = match &uri {
-                        UriValue::Literal(s) => {
-                            (uris::match_uri_string(s).map(|u| u.info), s.clone())
-                        }
-                        UriValue::Field(f) => (uris::match_uri_field(f).map(|u| u.info), f.clone()),
-                    };
-                    if let Some(info) = info {
-                        if reachable {
-                            record(info, api, &mut report);
-                        } else {
-                            report.unreachable_sensitive_calls += 1;
-                        }
+        if opts.uri_analysis {
+            for (_, uri) in consts::query_sites(m) {
+                let (info, api) = match &uri {
+                    UriValue::Literal(s) => (uris::match_uri_string(s).map(|u| u.info), s.clone()),
+                    UriValue::Field(f) => (uris::match_uri_field(f).map(|u| u.info), f.clone()),
+                };
+                if let Some(info) = info {
+                    if reachable {
+                        record(info, api, &mut report);
+                    } else {
+                        report.unreachable_sensitive_calls += 1;
                     }
                 }
             }

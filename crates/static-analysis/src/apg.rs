@@ -1,21 +1,35 @@
-//! Android property graph (APG) construction.
+//! Android property graph (APG) construction, as a dense method graph.
 //!
-//! The APG integrates the AST (class → method → instruction containment),
-//! the interprocedural CFG, the method call graph, and dependency edges
-//! into one property graph ([`crate::graph::Graph`]), as the paper does
-//! with its ValHunter-based module. Implicit callback edges (EdgeMiner
-//! substitute) and intent edges (IccTA substitute) are added during
-//! construction.
+//! The paper's static module answers `Collect_code` and `Retain_code` over
+//! a ValHunter-style property graph. Both queries read only its method
+//! layer: which methods exist, which ones each method can transfer
+//! control to, and where the app's components enter. [`Apg::build`]
+//! compiles exactly that, straight from the dex:
+//!
+//! * every distinct `(class, method)` name gets a dense `u32` method id,
+//!   assigned in declaration order, and a sorted name index;
+//! * one CSR row per id holds the combined call (class-hierarchy
+//!   resolved), implicit-callback (EdgeMiner substitute) and intent
+//!   (IccTA substitute) edges;
+//! * the lifecycle entry ids of the manifest components.
+//!
+//! Method ids are the method identity for reachability ([`MethodSet`]),
+//! the `Collect_code` scan and both taint engines. A name declared more
+//! than once keeps one id: [`Apg::method_def`] is its first body, and its
+//! row is the union of the call sites of every body with that name (see
+//! DESIGN.md §11).
+//!
+//! The full property graph, with class, instruction and component nodes,
+//! is an export built on demand by [`crate::graph::Graph::from_apk`].
 
 use crate::callbacks;
-use crate::graph::{EdgeKind, Graph, NodeId, NodeKind};
+use crate::graph::EdgeKind;
 use crate::libs::{self, KnownLib};
 use ppchecker_apk::{
-    stable_hash_classes, Apk, Class, ComponentKind, Dex, FnvMap, Insn, Method, MethodRef,
+    stable_hash_classes, Apk, Class, ComponentKind, Dex, Insn, Manifest, Method, MethodRef,
     ParseDexError,
 };
-use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Lifecycle entry methods per component kind.
 pub fn lifecycle_methods(kind: ComponentKind) -> &'static [&'static str] {
@@ -29,241 +43,180 @@ pub fn lifecycle_methods(kind: ComponentKind) -> &'static [&'static str] {
     }
 }
 
-/// The constructed property graph plus lookup indexes.
+/// The method graph of one app.
 #[derive(Debug)]
 pub struct Apg {
-    /// The underlying graph store.
-    pub graph: Graph,
-    /// The recovered dex the graph was built from.
-    pub dex: Dex,
-    /// `(class, method)` → method node.
-    pub method_ids: HashMap<(String, String), NodeId>,
-    /// Method node → `(class, method)`.
-    pub method_names: HashMap<NodeId, (String, String)>,
-    /// Component nodes (from the manifest).
-    pub component_ids: Vec<NodeId>,
-    /// Dense `u32` method index + CSR call adjacency (see [`MethodIndex`]).
-    dense: MethodIndex,
-    /// Detected known libs with their content-hash cache keys, computed
-    /// on first use (see [`Apg::known_lib_keys`]).
+    /// The recovered dex the graph was built from (shared with the APK
+    /// when it was not packed).
+    pub dex: Arc<Dex>,
+    /// Method id → its first declared body.
+    defs: Vec<MethodRef>,
+    /// Method id of every body, in declaration order.
+    body_ids: Vec<u32>,
+    /// Method ids sorted by `(class, method)` name.
+    by_name: Vec<u32>,
+    /// CSR row offsets (`method_count + 1` entries) of the combined
+    /// call, implicit-callback and intent adjacency.
+    call_row: Vec<u32>,
+    /// CSR columns: callee ids, sorted and deduplicated per row.
+    call_col: Vec<u32>,
+    /// Lifecycle entry ids of the manifest components, in manifest order,
+    /// each once.
+    lifecycle_entries: Vec<u32>,
+    /// Some `(class, method)` name is declared more than once.
+    has_duplicates: bool,
+    /// Known libs embedded in the app, in table order.
+    libs: Vec<&'static KnownLib>,
+    /// `libs` with their content-hash keys, computed on first use.
     lib_keys: OnceLock<Vec<(&'static KnownLib, u64)>>,
 }
 
-/// Dense-ID view of the method layer, compiled once at APG construction.
-///
-/// Every method body gets a `u32` index in dex declaration order (stable
-/// across builds, unlike map iteration orders). The combined
-/// call/implicit-callback/intent adjacency is stored as CSR arrays over
-/// those indexes, so reachability and the taint fixpoint walk flat
-/// slices instead of hashing `(NodeId, EdgeKind)` keys per step.
-#[derive(Debug, Default)]
-pub struct MethodIndex {
-    /// ix → graph method node.
-    node_of: Vec<NodeId>,
-    /// ix → dense dex position.
-    ref_of: Vec<MethodRef>,
-    /// Graph method node → ix.
-    ix_of_node: FnvMap<NodeId, u32>,
-    /// class → method → ix: zero-allocation name lookup (a nested map is
-    /// queryable with borrowed `&str` keys, unlike `(String, String)`),
-    /// FNV-hashed — it is probed once per invoke in the taint kernel.
-    by_name: FnvMap<String, FnvMap<String, u32>>,
-    /// CSR row offsets (`method_count + 1` entries) of the combined
-    /// Call + ImplicitCallback + Icc adjacency, deduplicated per row.
-    call_row: Vec<u32>,
-    /// CSR column array of callee indexes.
-    call_col: Vec<u32>,
-    /// True when the dex declares the same `(class, method)` twice; the
-    /// dense view keeps the first body (mirroring `Dex::class` /
-    /// `Class::method` lookup), and callers that need exact duplicate
-    /// semantics fall back to name-resolved processing.
-    has_duplicates: bool,
-}
-
 impl Apg {
-    /// Builds the APG for an APK, unpacking the dex first if needed.
+    /// Builds the method graph of an APK, unpacking the dex first if needed.
     ///
     /// # Errors
     ///
     /// Returns [`ParseDexError`] if a packed dex cannot be recovered.
     pub fn build(apk: &Apk) -> Result<Apg, ParseDexError> {
-        let dex = apk.dex()?;
-        let mut graph = Graph::new();
-        let mut method_ids = HashMap::new();
-        let mut method_names = HashMap::new();
-
-        // AST: classes, methods, instructions; intra-method CFG.
-        for class in &dex.classes {
-            let cid = graph.add_node(NodeKind::Class, class.name.clone());
-            graph.set_attr(cid, "superclass", class.superclass.clone());
-            for m in &class.methods {
-                let mid = graph.add_node(NodeKind::Method, m.name.clone());
-                graph.set_attr(mid, "class", class.name.clone());
-                graph.add_edge(cid, EdgeKind::Contains, mid);
-                method_ids.insert((class.name.clone(), m.name.clone()), mid);
-                method_names.insert(mid, (class.name.clone(), m.name.clone()));
-                let mut prev: Option<NodeId> = None;
-                let mut insn_nodes = Vec::with_capacity(m.instructions.len());
-                for (idx, insn) in m.instructions.iter().enumerate() {
-                    let iid = graph.add_node(NodeKind::Instruction, insn.to_string());
-                    graph.set_attr(iid, "index", idx.to_string());
-                    graph.add_edge(mid, EdgeKind::Contains, iid);
-                    if let Some(p) = prev {
-                        graph.add_edge(p, EdgeKind::CfgNext, iid);
-                    }
-                    insn_nodes.push(iid);
-                    prev = Some(iid);
-                }
-                // Branch edges.
-                for (idx, insn) in m.instructions.iter().enumerate() {
-                    let target = match insn {
-                        Insn::Goto { target } => Some(*target),
-                        Insn::IfNonZero { target, .. } => Some(*target),
-                        _ => None,
-                    };
-                    if let Some(t) = target {
-                        if t < insn_nodes.len() {
-                            graph.add_edge(insn_nodes[idx], EdgeKind::CfgNext, insn_nodes[t]);
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut apg = Apg {
-            graph,
-            dex,
-            method_ids,
-            method_names,
-            component_ids: Vec::new(),
-            dense: MethodIndex::default(),
-            lib_keys: OnceLock::new(),
-        };
-
-        apg.add_call_edges();
-        apg.add_implicit_callback_edges();
-        apg.add_icc_edges();
-        apg.add_components(apk);
-        apg.build_dense_index();
+        let mut apg = Apg::index_methods(apk.dex()?);
+        let mut edges: Vec<u64> = Vec::new();
+        apg.for_each_edge(|body, _, to| {
+            edges.push((u64::from(apg.body_ids[body]) << 32) | u64::from(to));
+        });
+        (apg.call_row, apg.call_col) = csr(apg.defs.len(), edges);
+        apg.lifecycle_entries = apg.lifecycle_entries_of(&apk.manifest);
         Ok(apg)
     }
 
-    /// Compiles the dense method index and the combined call CSR. Runs
-    /// after all edges exist; everything here is derived state.
-    fn build_dense_index(&mut self) {
-        let mut dense = MethodIndex::default();
-        for r in self.dex.method_refs() {
-            let (class, m) = self.dex.method_at(r);
-            let methods = dense.by_name.entry(class.name.clone()).or_default();
-            if methods.contains_key(&m.name) {
-                dense.has_duplicates = true;
-                continue;
-            }
-            // Method nodes were created in the same declaration order the
-            // refs walk, so the name map resolves the first declaration's
-            // node — matching `Dex::class`/`Class::method` first-match
-            // semantics.
-            let ix = dense.node_of.len() as u32;
-            let node = self.method_ids[&(class.name.clone(), m.name.clone())];
-            methods.insert(m.name.clone(), ix);
-            dense.node_of.push(node);
-            dense.ref_of.push(r);
+    /// Assigns method ids and the name index; rows and entries are empty.
+    fn index_methods(dex: Arc<Dex>) -> Apg {
+        let bodies: Vec<MethodRef> = dex.method_refs();
+        let name = |k: u32| {
+            let (class, method) = dex.method_at(bodies[k as usize]);
+            (class.name.as_str(), method.name.as_str())
+        };
+        // Bodies by name, then declaration order: each run of equal
+        // names starts with its first body.
+        let mut sorted: Vec<u32> = (0..bodies.len() as u32).collect();
+        sorted.sort_unstable_by(|&a, &b| name(a).cmp(&name(b)).then(a.cmp(&b)));
+        let mut first_of: Vec<u32> = vec![0; bodies.len()];
+        let mut has_duplicates = false;
+        for (i, &k) in sorted.iter().enumerate() {
+            let dup = i > 0 && name(sorted[i - 1]) == name(k);
+            has_duplicates |= dup;
+            first_of[k as usize] = if dup { first_of[sorted[i - 1] as usize] } else { k };
         }
-        // With duplicate declarations, `method_ids` (last-wins) may hand a
-        // later node to the name map; the dense view is then advisory
-        // only, which `has_duplicates` already signals.
-        dense.ix_of_node =
-            dense.node_of.iter().enumerate().map(|(ix, &n)| (n, ix as u32)).collect();
+        let mut defs = Vec::with_capacity(bodies.len());
+        let mut body_ids = Vec::with_capacity(bodies.len());
+        for (k, &r) in bodies.iter().enumerate() {
+            let first = first_of[k] as usize;
+            if first == k {
+                body_ids.push(defs.len() as u32);
+                defs.push(r);
+            } else {
+                body_ids.push(body_ids[first]);
+            }
+        }
+        let by_name = sorted
+            .iter()
+            .filter(|&&k| first_of[k as usize] == k)
+            .map(|&k| body_ids[k as usize])
+            .collect();
+        let libs = libs::detect_libs(&dex);
+        Apg {
+            dex,
+            defs,
+            body_ids,
+            by_name,
+            call_row: Vec::new(),
+            call_col: Vec::new(),
+            lifecycle_entries: Vec::new(),
+            has_duplicates,
+            libs,
+            lib_keys: OnceLock::new(),
+        }
+    }
 
-        // Combined Call + ImplicitCallback + Icc adjacency, deduplicated
-        // (CHA can record one call edge per matching override and repeat
-        // targets per site; reachability and taint only need the set).
-        let n = dense.node_of.len();
-        dense.call_row = Vec::with_capacity(n + 1);
-        dense.call_row.push(0);
-        let mut scratch: Vec<u32> = Vec::new();
-        for &node in &dense.node_of {
-            scratch.clear();
-            for kind in [EdgeKind::Call, EdgeKind::ImplicitCallback, EdgeKind::Icc] {
-                for target in self.graph.successors(node, kind) {
-                    if let Some(&ix) = dense.ix_of_node.get(target) {
-                        scratch.push(ix);
+    /// Lifecycle methods of every manifest component that the dex defines.
+    fn lifecycle_entries_of(&self, manifest: &Manifest) -> Vec<u32> {
+        let mut entries: Vec<u32> = Vec::new();
+        for comp in &manifest.components {
+            for entry in lifecycle_methods(comp.kind) {
+                if let Some(id) = self.method_id(&comp.class_name, entry) {
+                    if !entries.contains(&id) {
+                        entries.push(id);
                     }
                 }
             }
-            scratch.sort_unstable();
-            scratch.dedup();
-            dense.call_col.extend_from_slice(&scratch);
-            dense.call_row.push(dense.call_col.len() as u32);
         }
-        self.dense = dense;
+        entries
     }
 
-    /// Number of dense-indexed methods.
+    /// Number of method ids (distinct `(class, method)` names).
     pub fn method_count(&self) -> usize {
-        self.dense.node_of.len()
+        self.defs.len()
     }
 
-    /// The dense index of a method node.
-    pub fn method_ix(&self, id: NodeId) -> Option<u32> {
-        self.dense.ix_of_node.get(&id).copied()
-    }
-
-    /// The graph node of a dense method index.
+    /// The class and first declared body of method `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `ix` is out of bounds.
-    pub fn method_node(&self, ix: u32) -> NodeId {
-        self.dense.node_of[ix as usize]
+    /// Panics if `id` is out of bounds.
+    pub fn method_def(&self, id: u32) -> (&Class, &Method) {
+        self.dex.method_at(self.defs[id as usize])
     }
 
-    /// The class and body of a dense method index — O(1), no name lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ix` is out of bounds.
-    pub fn method_def(&self, ix: u32) -> (&Class, &Method) {
-        self.dex.method_at(self.dense.ref_of[ix as usize])
+    /// The method id of every body of the dex, in declaration order (the
+    /// order of [`Dex::iter_methods`]); duplicate declarations share one.
+    pub fn body_ids(&self) -> &[u32] {
+        &self.body_ids
     }
 
-    /// Dense callee indexes of `ix` over the combined call, implicit
-    /// callback, and intent adjacency (sorted, deduplicated).
-    pub fn callees(&self, ix: u32) -> &[u32] {
-        let row = &self.dense.call_row;
-        &self.dense.call_col[row[ix as usize] as usize..row[ix as usize + 1] as usize]
+    /// Callee ids of `id` over the combined call, implicit-callback and
+    /// intent adjacency (sorted, deduplicated).
+    pub fn callees(&self, id: u32) -> &[u32] {
+        let row = &self.call_row;
+        &self.call_col[row[id as usize] as usize..row[id as usize + 1] as usize]
     }
 
-    /// Zero-allocation `(class, method)` → dense index lookup.
-    pub fn lookup_ix(&self, class: &str, method: &str) -> Option<u32> {
-        self.dense.by_name.get(class)?.get(method).copied()
+    /// Zero-allocation `(class, method)` → method id lookup.
+    pub fn method_id(&self, class: &str, method: &str) -> Option<u32> {
+        let pos = self
+            .by_name
+            .binary_search_by(|&id| {
+                let (c, m) = self.method_def(id);
+                (c.name.as_str(), m.name.as_str()).cmp(&(class, method))
+            })
+            .ok()?;
+        Some(self.by_name[pos])
     }
 
-    /// Zero-allocation `(class, method)` → method node lookup (the
-    /// borrowed-key counterpart of indexing [`Apg::method_ids`]).
-    pub fn method_id(&self, class: &str, method: &str) -> Option<NodeId> {
-        if self.dense.has_duplicates {
-            // Keep exact last-wins map semantics for degenerate dexes.
-            return self.method_ids.get(&(class.to_string(), method.to_string())).copied();
-        }
-        self.lookup_ix(class, method).map(|ix| self.method_node(ix))
+    /// Lifecycle entry ids of the manifest's components, in manifest
+    /// order, each once.
+    pub fn lifecycle_entries(&self) -> &[u32] {
+        &self.lifecycle_entries
     }
 
-    /// True when the dex declares the same `(class, method)` twice, making
-    /// the dense view advisory (first declaration wins).
+    /// True when the dex declares some `(class, method)` name twice. The
+    /// taint kernel declines such apps; the reference engine runs them.
     pub fn has_duplicate_methods(&self) -> bool {
-        self.dense.has_duplicates
+        self.has_duplicates
     }
 
-    /// Known third-party libs embedded in the app, each with the
-    /// content-hash key its taint summary is cached under. Detection and
-    /// hashing run once per APG — the dex is immutable after build — so
-    /// a batch engine re-analyzing the app hits this as a slice read.
+    /// Known third-party libs embedded in the app, in table order.
+    pub fn libs(&self) -> &[&'static KnownLib] {
+        &self.libs
+    }
+
+    /// [`Apg::libs`], each with the content-hash key its taint summary
+    /// is cached under. Hashing runs once per APG, on first use — the dex
+    /// is immutable after build — so only apps analyzed with a summary
+    /// cache pay for it.
     pub fn known_lib_keys(&self) -> &[(&'static KnownLib, u64)] {
         self.lib_keys.get_or_init(|| {
-            libs::detect_libs(&self.dex)
-                .into_iter()
-                .map(|lib| {
+            self.libs
+                .iter()
+                .map(|&lib| {
                     let mut classes: Vec<&Class> = self
                         .dex
                         .classes
@@ -277,209 +230,153 @@ impl Apg {
         })
     }
 
-    /// Method call graph: for each invoke, link the caller method to every
-    /// in-dex class that defines the callee (exact class or a subclass
-    /// overriding it — a simple class-hierarchy analysis).
-    fn add_call_edges(&mut self) {
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for class in &self.dex.classes {
-            for m in &class.methods {
-                let Some(&caller) = self.method_ids.get(&(class.name.clone(), m.name.clone()))
-                else {
-                    continue;
-                };
-                for insn in &m.instructions {
-                    let Insn::Invoke { class: cc, method: mm, .. } = insn else {
-                        continue;
-                    };
-                    for target in self.resolve_targets(cc, mm) {
-                        edges.push((caller, target));
-                    }
-                }
-            }
-        }
-        for (a, b) in edges {
-            self.graph.add_edge(a, EdgeKind::Call, b);
-        }
-    }
-
-    /// Resolves an invocation to method nodes: the named class itself, or
-    /// any class whose superclass chain reaches it.
-    fn resolve_targets(&self, class: &str, method: &str) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if let Some(&id) = self.method_ids.get(&(class.to_string(), method.to_string())) {
-            out.push(id);
-        }
-        for c in &self.dex.classes {
-            if c.name == class {
-                continue;
-            }
-            if self.superclass_chain_contains(&c.name, class) && c.method(method).is_some() {
-                if let Some(&id) = self.method_ids.get(&(c.name.clone(), method.to_string())) {
-                    out.push(id);
-                }
-            }
-        }
-        out
-    }
-
-    fn superclass_chain_contains(&self, class: &str, ancestor: &str) -> bool {
-        let mut cur = class.to_string();
-        for _ in 0..32 {
-            let Some(c) = self.dex.class(&cur) else { return false };
-            if c.superclass == ancestor {
-                return true;
-            }
-            cur = c.superclass.clone();
-        }
-        false
-    }
-
-    /// EdgeMiner substitute: for each registration call, find the listener
-    /// object (a `new-instance` reaching one of the argument registers in
-    /// the same method) and add an edge to its callback method.
-    fn add_implicit_callback_edges(&mut self) {
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for class in &self.dex.classes {
-            for m in &class.methods {
-                let Some(&caller) = self.method_ids.get(&(class.name.clone(), m.name.clone()))
-                else {
-                    continue;
-                };
-                for (idx, insn) in m.instructions.iter().enumerate() {
-                    let Insn::Invoke { class: cc, method: mm, args, .. } = insn else {
-                        continue;
-                    };
-                    let Some(cb_name) = callbacks::callback_for(cc, mm) else {
-                        continue;
-                    };
-                    // Backward scan: which class was newly instantiated into
-                    // one of the argument registers?
-                    for &arg in args {
-                        if let Some(listener) = last_new_instance(&m.instructions[..idx], arg) {
-                            if let Some(&target) =
-                                self.method_ids.get(&(listener.clone(), cb_name.to_string()))
-                            {
-                                edges.push((caller, target));
+    /// Calls `emit(body, kind, callee)` for every call, implicit-callback
+    /// and intent edge leaving each body (declaration-order position, as
+    /// in [`Apg::body_ids`]). Needs only the method ids and name index.
+    pub(crate) fn for_each_edge(&self, mut emit: impl FnMut(usize, EdgeKind, u32)) {
+        let hierarchy = Hierarchy::new(&self.dex);
+        for (body, (class, m)) in self.dex.iter_methods().enumerate() {
+            let mut strings: Vec<(u32, &str)> = Vec::new();
+            let mut intents: Vec<(u32, &str)> = Vec::new();
+            for (idx, insn) in m.instructions.iter().enumerate() {
+                match insn {
+                    Insn::ConstString { dst, value } => strings.push((*dst, value.as_str())),
+                    Insn::Invoke { class: cc, method: mm, args, .. } => {
+                        // Method call graph: the named class, or any class
+                        // whose superclass chain reaches it (CHA).
+                        if let Some(to) = self.method_id(cc, mm) {
+                            emit(body, EdgeKind::Call, to);
+                        }
+                        for sub in hierarchy.descendants(cc) {
+                            if sub.name != *cc && sub.method(mm).is_some() {
+                                let to = self.method_id(&sub.name, mm).expect("declared");
+                                emit(body, EdgeKind::Call, to);
                             }
                         }
-                    }
-                    // The registering class itself may implement the
-                    // listener interface ("this" receivers).
-                    if let Some(&target) =
-                        self.method_ids.get(&(class.name.clone(), cb_name.to_string()))
-                    {
-                        edges.push((caller, target));
-                    }
-                }
-            }
-        }
-        for (a, b) in edges {
-            self.graph.add_edge(a, EdgeKind::ImplicitCallback, b);
-        }
-    }
-
-    /// IccTA substitute: intent construction + `startActivity`/`startService`
-    /// /`sendBroadcast` becomes an edge to the target component's lifecycle
-    /// entry methods.
-    fn add_icc_edges(&mut self) {
-        const LAUNCHERS: &[(&str, &[&str])] = &[
-            ("startActivity", &["onCreate"]),
-            ("startService", &["onCreate", "onStartCommand"]),
-            ("sendBroadcast", &["onReceive"]),
-        ];
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for class in &self.dex.classes {
-            for m in &class.methods {
-                let Some(&caller) = self.method_ids.get(&(class.name.clone(), m.name.clone()))
-                else {
-                    continue;
-                };
-                // Map register → intent target class (via setClass-style calls).
-                let mut intent_target: HashMap<u32, String> = HashMap::new();
-                let mut strings: HashMap<u32, String> = HashMap::new();
-                for insn in &m.instructions {
-                    match insn {
-                        Insn::ConstString { dst, value } => {
-                            strings.insert(*dst, value.clone());
+                        // EdgeMiner substitute: the listener newly
+                        // instantiated into an argument register, or the
+                        // registering class itself ("this" receivers).
+                        if let Some(cb) = callbacks::callback_for(cc, mm) {
+                            for &arg in args {
+                                let listener = last_new_instance(&m.instructions[..idx], arg);
+                                if let Some(to) = listener.and_then(|l| self.method_id(l, cb)) {
+                                    emit(body, EdgeKind::ImplicitCallback, to);
+                                }
+                            }
+                            if let Some(to) = self.method_id(&class.name, cb) {
+                                emit(body, EdgeKind::ImplicitCallback, to);
+                            }
                         }
-                        Insn::Invoke { class: cc, method: mm, args, .. }
-                            if cc == "android.content.Intent"
-                                && matches!(
-                                    mm.as_str(),
-                                    "setClass" | "setClassName" | "setComponent"
-                                ) =>
+                        // IccTA substitute: `setClass`-style calls bind an
+                        // intent register to a target class; a launcher
+                        // call on it enters the target's lifecycle.
+                        if cc == "android.content.Intent"
+                            && matches!(mm.as_str(), "setClass" | "setClassName" | "setComponent")
                         {
-                            if let (Some(&intent_reg), Some(target)) =
-                                (args.first(), args.iter().skip(1).find_map(|r| strings.get(r)))
-                            {
-                                intent_target.insert(intent_reg, target.clone());
+                            let target = args.iter().skip(1).find_map(|r| latest(&strings, *r));
+                            if let (Some(&intent), Some(target)) = (args.first(), target) {
+                                intents.push((intent, target));
                             }
-                        }
-                        Insn::Invoke { method: mm, args, .. } => {
-                            let Some((_, entries)) = LAUNCHERS.iter().find(|(name, _)| name == mm)
-                            else {
-                                continue;
-                            };
-                            for arg in args.iter().skip(1) {
-                                if let Some(target_class) = intent_target.get(arg) {
-                                    for entry in *entries {
-                                        if let Some(&t) = self
-                                            .method_ids
-                                            .get(&(target_class.clone(), entry.to_string()))
-                                        {
-                                            edges.push((caller, t));
-                                        }
+                        } else if let Some((_, entries)) =
+                            LAUNCHERS.iter().find(|(name, _)| name == mm)
+                        {
+                            for target in args.iter().skip(1).filter_map(|r| latest(&intents, *r)) {
+                                for entry in *entries {
+                                    if let Some(to) = self.method_id(target, entry) {
+                                        emit(body, EdgeKind::Icc, to);
                                     }
                                 }
                             }
                         }
-                        _ => {}
                     }
+                    _ => {}
                 }
             }
         }
-        for (a, b) in edges {
-            self.graph.add_edge(a, EdgeKind::Icc, b);
+    }
+}
+
+/// Launcher calls and the lifecycle entries they start.
+const LAUNCHERS: &[(&str, &[&str])] = &[
+    ("startActivity", &["onCreate"]),
+    ("startService", &["onCreate", "onStartCommand"]),
+    ("sendBroadcast", &["onReceive"]),
+];
+
+/// The value most recently bound to `reg` in a register → value list.
+fn latest<'a>(binds: &[(u32, &'a str)], reg: u32) -> Option<&'a str> {
+    binds.iter().rev().find(|&&(r, _)| r == reg).map(|&(_, v)| v)
+}
+
+/// Compiles `(from << 32 | to)` edges into CSR rows over `n` ids,
+/// deduplicated per row.
+fn csr(n: usize, mut edges: Vec<u64>) -> (Vec<u32>, Vec<u32>) {
+    edges.sort_unstable();
+    edges.dedup();
+    let mut row = vec![0u32; n + 1];
+    for &e in &edges {
+        row[(e >> 32) as usize + 1] += 1;
+    }
+    for i in 0..n {
+        row[i + 1] += row[i];
+    }
+    (row, edges.iter().map(|&e| e as u32).collect())
+}
+
+/// Class-hierarchy index of one dex, for resolving virtual calls.
+struct Hierarchy<'d> {
+    dex: &'d Dex,
+    /// `(ancestor name, class position)` for every class and every name
+    /// on its superclass chain, sorted.
+    ancestors: Vec<(&'d str, u32)>,
+}
+
+impl<'d> Hierarchy<'d> {
+    /// Superclass chains are walked by name — a name resolves to its
+    /// first declaration — for at most 32 steps, so a cycle ends.
+    fn new(dex: &'d Dex) -> Self {
+        let mut by_name: Vec<u32> = (0..dex.classes.len() as u32).collect();
+        by_name.sort_by(|&a, &b| dex.classes[a as usize].name.cmp(&dex.classes[b as usize].name));
+        by_name.dedup_by(|later, earlier| {
+            dex.classes[*later as usize].name == dex.classes[*earlier as usize].name
+        });
+        let class = |name: &str| {
+            let pos = by_name
+                .binary_search_by(|&c| dex.classes[c as usize].name.as_str().cmp(name))
+                .ok()?;
+            Some(&dex.classes[by_name[pos] as usize])
+        };
+        let mut ancestors = Vec::new();
+        for (pos, c) in dex.classes.iter().enumerate() {
+            let mut cur = c.name.as_str();
+            for _ in 0..32 {
+                let Some(found) = class(cur) else { break };
+                cur = &found.superclass;
+                ancestors.push((cur, pos as u32));
+            }
         }
+        ancestors.sort_unstable();
+        ancestors.dedup();
+        Hierarchy { dex, ancestors }
     }
 
-    /// Component nodes and lifecycle edges from the manifest.
-    fn add_components(&mut self, apk: &Apk) {
-        for comp in &apk.manifest.components {
-            let nid = self.graph.add_node(NodeKind::Component, comp.class_name.clone());
-            self.graph.set_attr(nid, "kind", format!("{:?}", comp.kind));
-            if comp.main {
-                self.graph.set_attr(nid, "main", "true");
-            }
-            for entry in lifecycle_methods(comp.kind) {
-                if let Some(&mid) =
-                    self.method_ids.get(&(comp.class_name.clone(), entry.to_string()))
-                {
-                    self.graph.add_edge(nid, EdgeKind::Lifecycle, mid);
-                }
-            }
-            self.component_ids.push(nid);
-        }
-    }
-
-    /// The `(class, method)` names for a method node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a method node of this APG.
-    pub fn method_name(&self, id: NodeId) -> &(String, String) {
-        &self.method_names[&id]
+    /// Every class declaration whose superclass chain contains `name`.
+    fn descendants<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'d Class> + 's {
+        let start = self.ancestors.partition_point(|&(a, _)| a < name);
+        self.ancestors[start..]
+            .iter()
+            .take_while(move |&&(a, _)| a == name)
+            .map(|&(_, pos)| &self.dex.classes[pos as usize])
     }
 }
 
 /// Finds the class most recently `new-instance`d into `reg` (also follows
 /// simple `move` chains), scanning backwards.
-fn last_new_instance(insns: &[Insn], reg: u32) -> Option<String> {
+fn last_new_instance(insns: &[Insn], reg: u32) -> Option<&str> {
     let mut wanted = reg;
     for insn in insns.iter().rev() {
         match insn {
-            Insn::NewInstance { dst, class } if *dst == wanted => return Some(class.clone()),
+            Insn::NewInstance { dst, class } if *dst == wanted => return Some(class),
             Insn::Move { dst, src } if *dst == wanted => wanted = *src,
             _ => {}
         }
@@ -487,10 +384,75 @@ fn last_new_instance(insns: &[Insn], reg: u32) -> Option<String> {
     None
 }
 
+/// A set of method ids of one [`Apg`], one bit per id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MethodSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl MethodSet {
+    /// The empty set over `universe` ids.
+    pub fn empty(universe: usize) -> Self {
+        MethodSet { words: vec![0; universe.div_ceil(64)], len: 0 }
+    }
+
+    /// The set of all `universe` ids.
+    pub fn full(universe: usize) -> Self {
+        let mut words = vec![!0u64; universe.div_ceil(64)];
+        let tail = universe % 64;
+        if tail > 0 {
+            words[universe / 64] = (1u64 << tail) - 1;
+        }
+        MethodSet { words, len: universe }
+    }
+
+    /// Adds `id`; true if it was not present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is outside the universe.
+    pub fn insert(&mut self, id: u32) -> bool {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Whether `id` is a member (false outside the universe).
+    pub fn contains(&self, id: u32) -> bool {
+        self.words.get(id as usize / 64).is_some_and(|w| w & (1u64 << (id % 64)) != 0)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no id is a member.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Members in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    (w * 64) as u32 + bit
+                })
+            })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::EdgeKind;
     use ppchecker_apk::{Apk, ComponentKind, Dex, Manifest};
 
     fn sample_apk() -> Apk {
@@ -518,69 +480,57 @@ mod tests {
         Apk::new(manifest, dex)
     }
 
+    fn id(apg: &Apg, class: &str, method: &str) -> u32 {
+        apg.method_id(class, method).unwrap()
+    }
+
+    /// The edges leaving `from`'s bodies, by kind.
+    fn edges(apg: &Apg, from: u32, kind: EdgeKind) -> Vec<u32> {
+        let mut out = Vec::new();
+        apg.for_each_edge(|body, k, to| {
+            if k == kind && apg.body_ids()[body] == from {
+                out.push(to);
+            }
+        });
+        out
+    }
+
     #[test]
-    fn builds_ast_nodes() {
+    fn ids_follow_declaration_order() {
         let apg = Apg::build(&sample_apk()).unwrap();
-        assert!(apg
-            .method_ids
-            .contains_key(&("com.example.app.Main".to_string(), "onCreate".to_string())));
-        assert!(apg.graph.node_count() > 5);
+        assert_eq!(apg.method_count(), 3);
+        assert_eq!(apg.body_ids(), &[0, 1, 2]);
+        assert!(!apg.has_duplicate_methods());
+        for id in 0..apg.method_count() as u32 {
+            let (class, m) = apg.method_def(id);
+            assert_eq!(apg.method_id(&class.name, &m.name), Some(id));
+        }
+        assert_eq!(apg.method_id("com.example.app.Main", "missing"), None);
+        assert_eq!(apg.method_id("com.example.app.Missing", "onCreate"), None);
     }
 
     #[test]
     fn call_edge_to_helper() {
         let apg = Apg::build(&sample_apk()).unwrap();
-        let caller = apg.method_ids[&("com.example.app.Main".into(), "onCreate".into())];
-        let callee = apg.method_ids[&("com.example.app.Helper".into(), "load".into())];
-        assert!(apg.graph.successors(caller, EdgeKind::Call).contains(&callee));
+        let caller = id(&apg, "com.example.app.Main", "onCreate");
+        let callee = id(&apg, "com.example.app.Helper", "load");
+        assert_eq!(edges(&apg, caller, EdgeKind::Call), vec![callee]);
+        assert!(apg.callees(caller).contains(&callee));
     }
 
     #[test]
     fn implicit_callback_edge_to_listener() {
         let apg = Apg::build(&sample_apk()).unwrap();
-        let caller = apg.method_ids[&("com.example.app.Main".into(), "onCreate".into())];
-        let cb = apg.method_ids[&("com.example.app.Listener".into(), "onClick".into())];
-        assert!(apg.graph.successors(caller, EdgeKind::ImplicitCallback).contains(&cb));
+        let caller = id(&apg, "com.example.app.Main", "onCreate");
+        let cb = id(&apg, "com.example.app.Listener", "onClick");
+        assert_eq!(edges(&apg, caller, EdgeKind::ImplicitCallback), vec![cb]);
+        assert_eq!(apg.callees(caller).len(), 2);
     }
 
     #[test]
-    fn lifecycle_edge_from_component() {
+    fn lifecycle_entry_from_component() {
         let apg = Apg::build(&sample_apk()).unwrap();
-        let comp = apg.component_ids[0];
-        let entry = apg.method_ids[&("com.example.app.Main".into(), "onCreate".into())];
-        assert!(apg.graph.successors(comp, EdgeKind::Lifecycle).contains(&entry));
-    }
-
-    #[test]
-    fn dense_index_round_trips() {
-        let apg = Apg::build(&sample_apk()).unwrap();
-        assert_eq!(apg.method_count(), 3);
-        assert!(!apg.has_duplicate_methods());
-        for ix in 0..apg.method_count() as u32 {
-            let node = apg.method_node(ix);
-            assert_eq!(apg.method_ix(node), Some(ix));
-            let (class, m) = apg.method_def(ix);
-            assert_eq!(apg.lookup_ix(&class.name, &m.name), Some(ix));
-            assert_eq!(apg.method_id(&class.name, &m.name), Some(node));
-            assert_eq!(apg.method_name(node), &(class.name.clone(), m.name.clone()));
-        }
-        assert_eq!(apg.lookup_ix("com.example.app.Main", "missing"), None);
-    }
-
-    #[test]
-    fn dense_callees_mirror_graph_edges() {
-        use std::collections::HashSet;
-        let apg = Apg::build(&sample_apk()).unwrap();
-        for ix in 0..apg.method_count() as u32 {
-            let node = apg.method_node(ix);
-            let via_csr: HashSet<NodeId> =
-                apg.callees(ix).iter().map(|&c| apg.method_node(c)).collect();
-            let mut via_map: HashSet<NodeId> = HashSet::new();
-            for kind in [EdgeKind::Call, EdgeKind::ImplicitCallback, EdgeKind::Icc] {
-                via_map.extend(apg.graph.successors(node, kind).iter().copied());
-            }
-            assert_eq!(via_csr, via_map);
-        }
+        assert_eq!(apg.lifecycle_entries(), &[id(&apg, "com.example.app.Main", "onCreate")]);
     }
 
     #[test]
@@ -603,9 +553,10 @@ mod tests {
             })
             .build();
         let apg = Apg::build(&Apk::new(manifest, dex)).unwrap();
-        let caller = apg.method_ids[&("com.x.Main".into(), "onCreate".into())];
-        let target = apg.method_ids[&("com.x.Sync".into(), "onStartCommand".into())];
-        assert!(apg.graph.successors(caller, EdgeKind::Icc).contains(&target));
+        let caller = id(&apg, "com.x.Main", "onCreate");
+        let target = id(&apg, "com.x.Sync", "onStartCommand");
+        assert_eq!(edges(&apg, caller, EdgeKind::Icc), vec![target]);
+        assert_eq!(apg.lifecycle_entries(), &[caller, target]);
     }
 
     #[test]
@@ -625,65 +576,100 @@ mod tests {
             })
             .build();
         let apg = Apg::build(&Apk::new(Manifest::new("com.x"), dex)).unwrap();
-        let caller = apg.method_ids[&("com.x.Caller".into(), "go".into())];
-        let base = apg.method_ids[&("com.x.Base".into(), "work".into())];
-        let derived = apg.method_ids[&("com.x.Derived".into(), "work".into())];
-        let succs = apg.graph.successors(caller, EdgeKind::Call);
-        assert!(succs.contains(&base) && succs.contains(&derived));
+        let caller = id(&apg, "com.x.Caller", "go");
+        let base = id(&apg, "com.x.Base", "work");
+        let derived = id(&apg, "com.x.Derived", "work");
+        assert_eq!(apg.callees(caller), &[base, derived]);
     }
-}
-
-/// Size summary of a constructed APG.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ApgStats {
-    /// Class nodes.
-    pub classes: usize,
-    /// Method nodes.
-    pub methods: usize,
-    /// Instruction nodes.
-    pub instructions: usize,
-    /// Component nodes.
-    pub components: usize,
-    /// Total edges of all kinds.
-    pub edges: usize,
-}
-
-impl Apg {
-    /// Computes node/edge counts by kind.
-    pub fn stats(&self) -> ApgStats {
-        use crate::graph::NodeKind;
-        ApgStats {
-            classes: self.graph.nodes_of_kind(NodeKind::Class).count(),
-            methods: self.graph.nodes_of_kind(NodeKind::Method).count(),
-            instructions: self.graph.nodes_of_kind(NodeKind::Instruction).count(),
-            components: self.graph.nodes_of_kind(NodeKind::Component).count(),
-            edges: self.graph.edge_count(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod stats_tests {
-    use super::*;
-    use ppchecker_apk::{Apk, ComponentKind, Dex, Manifest};
 
     #[test]
-    fn stats_count_every_kind() {
-        let mut manifest = Manifest::new("com.x");
-        manifest.add_component(ComponentKind::Activity, "com.x.Main", true);
+    fn duplicate_names_share_one_id_with_the_union_of_their_calls() {
         let dex = Dex::builder()
             .class("com.x.Main", |c| {
-                c.method("onCreate", 1, |m| {
-                    m.const_string(1, "hello");
+                c.method("go", 1, |m| {
+                    m.invoke_virtual("com.x.Main", "a", &[0], None);
+                });
+                c.method("a", 1, |_| {});
+                c.method("go", 1, |m| {
+                    m.invoke_virtual("com.x.Main", "b", &[0], None);
+                });
+            })
+            .class("com.x.Main", |c| {
+                c.method("b", 1, |_| {});
+            })
+            .build();
+        let apg = Apg::build(&Apk::new(Manifest::new("com.x"), dex)).unwrap();
+        assert!(apg.has_duplicate_methods());
+        assert_eq!(apg.method_count(), 3);
+        assert_eq!(apg.body_ids(), &[0, 1, 0, 2]);
+        let (_, first) = apg.method_def(0);
+        assert!(matches!(&first.instructions[0], Insn::Invoke { method, .. } if method == "a"));
+        assert_eq!(apg.callees(0), &[1, 2]);
+    }
+
+    #[test]
+    fn superclass_chains_resolve_through_first_declarations_and_cycles_end() {
+        let dex = Dex::builder()
+            .class("com.x.Leaf", |c| {
+                c.extends("com.x.Mid");
+                c.method("work", 1, |_| {});
+            })
+            .class("com.x.Mid", |c| {
+                c.extends("com.x.Base");
+            })
+            .class("com.x.Mid", |c| {
+                c.extends("com.x.Other");
+                c.method("work", 1, |_| {});
+            })
+            .class("com.x.LoopA", |c| {
+                c.extends("com.x.LoopB");
+                c.method("work", 1, |_| {});
+            })
+            .class("com.x.LoopB", |c| {
+                c.extends("com.x.LoopA");
+            })
+            .class("com.x.Caller", |c| {
+                c.method("go", 1, |m| {
+                    m.invoke_virtual("com.x.Base", "work", &[0], None);
+                    m.invoke_virtual("com.x.Other", "work", &[0], None);
                 });
             })
             .build();
-        let apg = Apg::build(&Apk::new(manifest, dex)).unwrap();
-        let s = apg.stats();
-        assert_eq!(s.classes, 1);
-        assert_eq!(s.methods, 1);
-        assert_eq!(s.instructions, 2); // const-string + implicit return
-        assert_eq!(s.components, 1);
-        assert!(s.edges >= 4); // contains ×3 + cfg + lifecycle
+        let apg = Apg::build(&Apk::new(Manifest::new("com.x"), dex)).unwrap();
+        let caller = id(&apg, "com.x.Caller", "go");
+        // `Mid` resolves to its first declaration, whose superclass is
+        // `Base`; the second declaration's `Other` is never on a chain.
+        let expected = [id(&apg, "com.x.Leaf", "work"), id(&apg, "com.x.Mid", "work")];
+        assert_eq!(apg.callees(caller), &expected);
+    }
+
+    #[test]
+    fn libs_are_detected_once_and_keyed_lazily() {
+        let dex = Dex::builder()
+            .class("com.google.android.gms.ads.AdView", |c| {
+                c.method("loadAd", 1, |_| {});
+            })
+            .class("com.flurry.android.Agent", |c| {
+                c.method("log", 1, |_| {});
+            })
+            .build();
+        let apg = Apg::build(&Apk::new(Manifest::new("com.x"), dex.clone())).unwrap();
+        let ids: Vec<&str> = apg.libs().iter().map(|l| l.id).collect();
+        assert_eq!(ids, libs::detect_libs(&dex).iter().map(|l| l.id).collect::<Vec<_>>());
+        assert!(apg.lib_keys.get().is_none(), "keys are hashed on first use only");
+        let keyed: Vec<&str> = apg.known_lib_keys().iter().map(|(l, _)| l.id).collect();
+        assert_eq!(keyed, ids);
+    }
+
+    #[test]
+    fn method_set_tracks_members() {
+        let mut set = MethodSet::empty(130);
+        assert!(set.is_empty());
+        assert!(set.insert(129) && set.insert(0) && set.insert(64));
+        assert!(!set.insert(64));
+        assert_eq!(set.len(), 3);
+        assert!(set.contains(64) && !set.contains(63) && !set.contains(4000));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 64, 129]);
+        assert_eq!(MethodSet::full(70).iter().count(), 70);
     }
 }

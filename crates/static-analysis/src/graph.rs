@@ -1,10 +1,14 @@
-//! An in-memory property-graph store.
+//! The Android property graph as an export.
 //!
-//! The paper stores the Android property graph (APG) in a graph database
-//! and answers analyses as graph queries. This module provides the
-//! equivalent: typed nodes with string attributes, typed edges, and
-//! adjacency indexes for forward/backward traversal.
+//! The paper stores the Android property graph in a graph database and
+//! answers analyses as graph queries. The analyses here read only its
+//! method layer, which [`crate::apg::Apg`] compiles straight from the
+//! dex. This module keeps the whole graph — typed nodes with string
+//! attributes and typed edges — for inspection: [`Graph::from_apk`]
+//! builds it on demand and [`to_dot`] renders it for Graphviz.
 
+use crate::apg::{lifecycle_methods, Apg};
+use ppchecker_apk::{Apk, Insn, ParseDexError};
 use std::collections::HashMap;
 
 /// Identifier of a node in the store.
@@ -60,8 +64,22 @@ pub struct Node {
 pub struct Graph {
     nodes: Vec<Node>,
     out: HashMap<(NodeId, EdgeKind), Vec<NodeId>>,
-    inc: HashMap<(NodeId, EdgeKind), Vec<NodeId>>,
     edge_count: usize,
+}
+
+/// Node counts by kind and the edge total of a [`Graph`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GraphStats {
+    /// Class nodes.
+    pub classes: usize,
+    /// Method nodes (one per declared body).
+    pub methods: usize,
+    /// Instruction nodes.
+    pub instructions: usize,
+    /// Component nodes.
+    pub components: usize,
+    /// Total edges of all kinds.
+    pub edges: usize,
 }
 
 impl Graph {
@@ -94,7 +112,6 @@ impl Graph {
     /// Adds a typed edge.
     pub fn add_edge(&mut self, from: NodeId, kind: EdgeKind, to: NodeId) {
         self.out.entry((from, kind)).or_default().push(to);
-        self.inc.entry((to, kind)).or_default().push(from);
         self.edge_count += 1;
     }
 
@@ -118,136 +135,93 @@ impl Graph {
         self.out.get(&(id, kind)).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// Incoming neighbors via `kind`.
-    pub fn predecessors(&self, id: NodeId, kind: EdgeKind) -> &[NodeId] {
-        self.inc.get(&(id, kind)).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
     /// All node ids of a given kind.
     pub fn nodes_of_kind(&self, kind: NodeKind) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes.iter().enumerate().filter(move |(_, n)| n.kind == kind).map(|(i, _)| NodeId(i))
     }
 
-    /// Finds the first node of `kind` whose label equals `label`.
-    pub fn find(&self, kind: NodeKind, label: &str) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .find(|(_, n)| n.kind == kind && n.label == label)
-            .map(|(i, _)| NodeId(i))
+    /// Node counts by kind and the edge total.
+    pub fn stats(&self) -> GraphStats {
+        GraphStats {
+            classes: self.nodes_of_kind(NodeKind::Class).count(),
+            methods: self.nodes_of_kind(NodeKind::Method).count(),
+            instructions: self.nodes_of_kind(NodeKind::Instruction).count(),
+            components: self.nodes_of_kind(NodeKind::Component).count(),
+            edges: self.edge_count,
+        }
     }
 
-    /// Compiles the adjacency of `kinds` into one CSR array pair over all
-    /// node ids: a prefix-sum row table plus a flat `u32` column array.
+    /// Builds the whole property graph of an APK: class, method (one per
+    /// declared body), instruction and component nodes; containment and
+    /// intra-method control-flow edges; and the call, implicit-callback,
+    /// intent and lifecycle edges of its [`Apg`], which point at the
+    /// first declared body of their target.
     ///
-    /// Traversals that probe the same edge kinds repeatedly (reachability,
-    /// fixpoints) walk contiguous slices instead of hashing one
-    /// `(NodeId, EdgeKind)` key per step. Rows concatenate the kinds in
-    /// the order given, so the result is deterministic for a given graph.
-    pub fn csr(&self, kinds: &[EdgeKind]) -> CsrAdjacency {
-        let n = self.nodes.len();
-        let mut row = vec![0u32; n + 1];
-        for id in 0..n {
-            for &kind in kinds {
-                row[id + 1] += self.successors(NodeId(id), kind).len() as u32;
-            }
-        }
-        for i in 0..n {
-            row[i + 1] += row[i];
-        }
-        let mut col = vec![0u32; row[n] as usize];
-        let mut cursor: Vec<u32> = row[..n].to_vec();
-        for id in 0..n {
-            for &kind in kinds {
-                for &NodeId(t) in self.successors(NodeId(id), kind) {
-                    col[cursor[id] as usize] = t as u32;
-                    cursor[id] += 1;
+    /// # Errors
+    ///
+    /// Returns [`ParseDexError`] if a packed dex cannot be recovered.
+    pub fn from_apk(apk: &Apk) -> Result<Graph, ParseDexError> {
+        let apg = Apg::build(apk)?;
+        let mut graph = Graph::new();
+        let mut body_nodes = Vec::with_capacity(apg.body_ids().len());
+        for class in &apg.dex.classes {
+            let cid = graph.add_node(NodeKind::Class, class.name.clone());
+            graph.set_attr(cid, "superclass", class.superclass.clone());
+            for m in &class.methods {
+                let mid = graph.add_node(NodeKind::Method, m.name.clone());
+                graph.set_attr(mid, "class", class.name.clone());
+                graph.add_edge(cid, EdgeKind::Contains, mid);
+                body_nodes.push(mid);
+                let insns: Vec<NodeId> = m
+                    .instructions
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, insn)| {
+                        let iid = graph.add_node(NodeKind::Instruction, insn.to_string());
+                        graph.set_attr(iid, "index", idx.to_string());
+                        graph.add_edge(mid, EdgeKind::Contains, iid);
+                        iid
+                    })
+                    .collect();
+                for pair in insns.windows(2) {
+                    graph.add_edge(pair[0], EdgeKind::CfgNext, pair[1]);
                 }
-            }
-        }
-        CsrAdjacency { row, col }
-    }
-
-    /// Breadth-first closure from `starts` following `kinds` edges forward.
-    pub fn reachable_from(&self, starts: &[NodeId], kinds: &[EdgeKind]) -> Vec<NodeId> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue: Vec<NodeId> = Vec::new();
-        for &s in starts {
-            if !seen[s.0] {
-                seen[s.0] = true;
-                queue.push(s);
-            }
-        }
-        let mut i = 0;
-        while i < queue.len() {
-            let cur = queue[i];
-            i += 1;
-            for &kind in kinds {
-                for &next in self.successors(cur, kind) {
-                    if !seen[next.0] {
-                        seen[next.0] = true;
-                        queue.push(next);
+                for (idx, insn) in m.instructions.iter().enumerate() {
+                    if let Insn::Goto { target } | Insn::IfNonZero { target, .. } = insn {
+                        if let Some(&to) = insns.get(*target) {
+                            graph.add_edge(insns[idx], EdgeKind::CfgNext, to);
+                        }
                     }
                 }
             }
         }
-        queue
-    }
-}
-
-/// CSR-compiled adjacency for a fixed set of edge kinds (see
-/// [`Graph::csr`]). Node `i`'s successors are the contiguous slice
-/// `col[row[i]..row[i + 1]]`.
-#[derive(Debug, Clone, Default)]
-pub struct CsrAdjacency {
-    row: Vec<u32>,
-    col: Vec<u32>,
-}
-
-impl CsrAdjacency {
-    /// Successor node ids of `id`, as raw `u32` indexes.
-    pub fn successors(&self, id: NodeId) -> &[u32] {
-        &self.col[self.row[id.0] as usize..self.row[id.0 + 1] as usize]
-    }
-
-    /// Number of nodes covered.
-    pub fn node_count(&self) -> usize {
-        self.row.len().saturating_sub(1)
-    }
-
-    /// Total edges stored.
-    pub fn edge_count(&self) -> usize {
-        self.col.len()
-    }
-
-    /// Breadth-first closure from `starts`, in visit order.
-    pub fn reachable_from(&self, starts: &[NodeId]) -> Vec<NodeId> {
-        let mut seen = vec![false; self.node_count()];
-        let mut queue: Vec<NodeId> = Vec::new();
-        for &s in starts {
-            if !seen[s.0] {
-                seen[s.0] = true;
-                queue.push(s);
-            }
+        // A method id's node is its first body's.
+        let mut node_of: Vec<Option<NodeId>> = vec![None; apg.method_count()];
+        for (&id, &node) in apg.body_ids().iter().zip(&body_nodes) {
+            node_of[id as usize].get_or_insert(node);
         }
-        let mut i = 0;
-        while i < queue.len() {
-            let cur = queue[i];
-            i += 1;
-            for &next in self.successors(cur) {
-                if !seen[next as usize] {
-                    seen[next as usize] = true;
-                    queue.push(NodeId(next as usize));
+        let node_of = |id: u32| node_of[id as usize].expect("every id has a body");
+        apg.for_each_edge(|body, kind, to| graph.add_edge(body_nodes[body], kind, node_of(to)));
+        for comp in &apk.manifest.components {
+            let nid = graph.add_node(NodeKind::Component, comp.class_name.clone());
+            graph.set_attr(nid, "kind", format!("{:?}", comp.kind));
+            if comp.main {
+                graph.set_attr(nid, "main", "true");
+            }
+            for entry in lifecycle_methods(comp.kind) {
+                if let Some(id) = apg.method_id(&comp.class_name, entry) {
+                    graph.add_edge(nid, EdgeKind::Lifecycle, node_of(id));
                 }
             }
         }
-        queue
+        Ok(graph)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppchecker_apk::{ComponentKind, Dex, Manifest};
 
     #[test]
     fn add_and_query_nodes() {
@@ -258,7 +232,6 @@ mod tests {
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.successors(a, EdgeKind::Contains), &[m]);
-        assert_eq!(g.predecessors(m, EdgeKind::Contains), &[a]);
         assert!(g.successors(a, EdgeKind::Call).is_empty());
     }
 
@@ -272,55 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability_closure() {
-        let mut g = Graph::new();
-        let a = g.add_node(NodeKind::Method, "a");
-        let b = g.add_node(NodeKind::Method, "b");
-        let c = g.add_node(NodeKind::Method, "c");
-        let d = g.add_node(NodeKind::Method, "d");
-        g.add_edge(a, EdgeKind::Call, b);
-        g.add_edge(b, EdgeKind::Call, c);
-        g.add_edge(d, EdgeKind::Call, c);
-        let r = g.reachable_from(&[a], &[EdgeKind::Call]);
-        assert!(r.contains(&a) && r.contains(&b) && r.contains(&c));
-        assert!(!r.contains(&d));
-    }
-
-    #[test]
-    fn csr_matches_hashmap_adjacency() {
-        let mut g = Graph::new();
-        let a = g.add_node(NodeKind::Method, "a");
-        let b = g.add_node(NodeKind::Method, "b");
-        let c = g.add_node(NodeKind::Method, "c");
-        let d = g.add_node(NodeKind::Method, "d");
-        g.add_edge(a, EdgeKind::Call, b);
-        g.add_edge(a, EdgeKind::Icc, c);
-        g.add_edge(b, EdgeKind::Call, c);
-        g.add_edge(d, EdgeKind::ImplicitCallback, a);
-        let csr = g.csr(&[EdgeKind::Call, EdgeKind::ImplicitCallback, EdgeKind::Icc]);
-        assert_eq!(csr.node_count(), 4);
-        assert_eq!(csr.edge_count(), 4);
-        // Rows concatenate kinds in the order given.
-        assert_eq!(csr.successors(a), &[b.0 as u32, c.0 as u32]);
-        assert_eq!(csr.successors(b), &[c.0 as u32]);
-        assert_eq!(csr.successors(c), &[] as &[u32]);
-        assert_eq!(csr.successors(d), &[a.0 as u32]);
-        // CSR BFS agrees with the per-query HashMap BFS.
-        let via_map =
-            g.reachable_from(&[a], &[EdgeKind::Call, EdgeKind::ImplicitCallback, EdgeKind::Icc]);
-        assert_eq!(csr.reachable_from(&[a]), via_map);
-    }
-
-    #[test]
-    fn find_by_label() {
-        let mut g = Graph::new();
-        g.add_node(NodeKind::Class, "com.x.A");
-        let b = g.add_node(NodeKind::Class, "com.x.B");
-        assert_eq!(g.find(NodeKind::Class, "com.x.B"), Some(b));
-        assert_eq!(g.find(NodeKind::Method, "com.x.B"), None);
-    }
-
-    #[test]
     fn multiple_edge_kinds_are_indexed_separately() {
         let mut g = Graph::new();
         let a = g.add_node(NodeKind::Instruction, "i1");
@@ -330,6 +254,54 @@ mod tests {
         assert_eq!(g.successors(a, EdgeKind::CfgNext), &[b]);
         assert_eq!(g.successors(a, EdgeKind::DataDep), &[b]);
         assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    fn exported_graph_counts_every_kind() {
+        let mut manifest = Manifest::new("com.x");
+        manifest.add_component(ComponentKind::Activity, "com.x.Main", true);
+        let dex = Dex::builder()
+            .class("com.x.Main", |c| {
+                c.method("onCreate", 1, |m| {
+                    m.const_string(1, "hello");
+                });
+            })
+            .build();
+        let g = Graph::from_apk(&Apk::new(manifest, dex)).unwrap();
+        let s = g.stats();
+        assert_eq!((s.classes, s.methods, s.components), (1, 1, 1));
+        assert_eq!(s.instructions, 2); // const-string + implicit return
+        assert_eq!(s.edges, 5); // contains ×3 + cfg + lifecycle
+    }
+
+    #[test]
+    fn exported_graph_carries_the_method_layer() {
+        let mut manifest = Manifest::new("com.x");
+        manifest.add_component(ComponentKind::Activity, "com.x.Main", true);
+        let dex = Dex::builder()
+            .class("com.x.Main", |c| {
+                c.method("onCreate", 1, |m| {
+                    m.new_instance(2, "com.x.Listener");
+                    m.invoke_virtual("android.view.View", "setOnClickListener", &[1, 2], None);
+                    m.invoke_virtual("com.x.Main", "load", &[0], None);
+                });
+                c.method("load", 1, |_| {});
+            })
+            .class("com.x.Listener", |c| {
+                c.method("onClick", 1, |_| {});
+            })
+            .build();
+        let g = Graph::from_apk(&Apk::new(manifest, dex)).unwrap();
+        let method = |label: &str| {
+            g.nodes_of_kind(NodeKind::Method).find(|&n| g.node(n).label == label).unwrap()
+        };
+        let component = g.nodes_of_kind(NodeKind::Component).next().unwrap();
+        assert_eq!(g.attr(component, "main"), Some("true"));
+        let on_create = method("onCreate");
+        assert_eq!(g.successors(component, EdgeKind::Lifecycle), &[on_create]);
+        assert_eq!(g.successors(on_create, EdgeKind::Call), &[method("load")]);
+        assert_eq!(g.successors(on_create, EdgeKind::ImplicitCallback), &[method("onClick")]);
+        assert!(to_dot(&g).contains("[color=purple]"));
     }
 }
 

@@ -18,9 +18,8 @@
 //! * **Bitset taint** — a taint set becomes `[u64; W]` words
 //!   (monomorphized for W = 1/2/4 ⇒ up to 64/128/256 distinct labels);
 //!   union, test and population count are branchless word ops. Apps with
-//!   more labels, or dexes with duplicate `(class, method)` declarations
-//!   (where name resolution is ambiguous), fall back to the reference
-//!   engine.
+//!   more labels, or dexes with duplicate `(class, method)` declarations,
+//!   fall back to the reference engine.
 //! * **Dirty-bit worklist** — instead of re-sweeping every method each
 //!   global round, a FIFO worklist re-processes only methods whose
 //!   inputs (parameter, field, return or ICC-channel taint) actually
@@ -34,9 +33,8 @@
 //!
 //! See DESIGN.md §11 for the equivalence and soundness arguments.
 
-use crate::apg::Apg;
+use crate::apg::{Apg, MethodSet};
 use crate::consts::{self, UriValue};
-use crate::graph::NodeId;
 use crate::sensitive::{self, SensitiveApi};
 use crate::sinks::{self, SinkApi};
 use crate::summary::{LibSummary, MethodSummary, NamedLabel, SummaryLeak, TaintSummaryCache};
@@ -65,7 +63,7 @@ thread_local! {
 /// supported envelope (duplicate method declarations, > 256 labels).
 pub(crate) fn run(
     apg: &Apg,
-    methods: &HashSet<NodeId>,
+    methods: &MethodSet,
     cache: Option<&TaintSummaryCache>,
 ) -> Option<Vec<Leak>> {
     if apg.has_duplicate_methods() {
@@ -402,15 +400,14 @@ fn field_at(apg: &Apg, ix: u32, idx: u32) -> (&str, &str) {
 
 /// Single-pass lowering of every in-scope body into `cs`. Returns `None`
 /// past the label budget.
-fn compile(apg: &Apg, methods: &HashSet<NodeId>, cs: &mut CompileScratch) -> Option<()> {
+fn compile(apg: &Apg, methods: &MethodSet, cs: &mut CompileScratch) -> Option<()> {
     let method_total = apg.method_count();
     cs.method_total = method_total;
     cs.max_regs = 0;
     cs.in_scope.clear();
     cs.in_scope.resize(method_total, false);
     cs.scope_ixs.clear();
-    cs.scope_ixs.extend(methods.iter().filter_map(|&m| apg.method_ix(m)));
-    cs.scope_ixs.sort_unstable();
+    cs.scope_ixs.extend(methods.iter());
     for &ix in &cs.scope_ixs {
         cs.in_scope[ix as usize] = true;
     }
@@ -553,7 +550,7 @@ fn compile_method(apg: &Apg, ix: u32, cs: &mut CompileScratch) {
 
                 let mut call = NONE;
                 let mut taint_through = false;
-                match apg.lookup_ix(c, m) {
+                match apg.method_id(c, m) {
                     Some(t) if cs.in_scope[t as usize] => {
                         call = t;
                         cs.caller_pairs.push((t, ix));
@@ -594,8 +591,8 @@ fn compile_method(apg: &Apg, ix: u32, cs: &mut CompileScratch) {
 }
 
 /// Backward scan over a freshly lowered body: true when no op reads a
-/// register, field, or ICC channel that a later op writes, and the body
-/// never invokes itself. For such bodies a second interpretation pass
+/// register, field, or ICC channel that the same or a later op writes,
+/// and the body never invokes itself. For such bodies a second interpretation pass
 /// sees every input unchanged (unions are idempotent, clears and copies
 /// recompute the same values), so one pass is the local fixpoint.
 fn is_single_pass(cs: &mut CompileScratch, ops_start: usize, ix: u32, reg_count: u32) -> bool {
@@ -648,7 +645,9 @@ fn is_single_pass(cs: &mut CompileScratch, ops_start: usize, ix: u32, reg_count:
                 let inv = invokes[i as usize];
                 let args =
                     &arg_regs[inv.args_start as usize..(inv.args_start + inv.args_len) as usize];
-                if args.iter().any(|&r| wr_regs[r as usize]) {
+                // An invoke that writes one of its own arguments reads
+                // its result on the next pass.
+                if args.iter().any(|&r| wr_regs[r as usize] || r == inv.dst) {
                     return false;
                 }
                 if inv.icc_get != NONE && wr_chans[inv.icc_get as usize] {
@@ -1087,7 +1086,7 @@ fn seed_from_summaries<const W: usize>(
                 // framework; if any resolves to an app method here,
                 // first-iteration semantics differ — process the whole
                 // lib normally (one check per app, not per method).
-                if summary.external_calls.iter().any(|(c, m)| prog.apg.lookup_ix(c, m).is_some()) {
+                if summary.external_calls.iter().any(|(c, m)| prog.apg.method_id(c, m).is_some()) {
                     continue;
                 }
                 for ms in &summary.methods {
@@ -1122,7 +1121,7 @@ fn apply_method_summary<const W: usize>(
     st: &mut StateScratch<W>,
     ms: &MethodSummary,
 ) {
-    let Some(ix) = prog.apg.lookup_ix(&ms.class, &ms.method) else { return };
+    let Some(ix) = prog.apg.method_id(&ms.class, &ms.method) else { return };
     if !prog.cs.in_scope[ix as usize] {
         return; // never processed in this app; contributions would be unsound
     }
@@ -1196,7 +1195,7 @@ fn stage_summary<const W: usize>(prog: &Program, ms: &MethodSummary, pend: &mut 
         pend.fields.push((fid as u32, bits));
     }
     for (class, method, labels) in &ms.params {
-        let Some(t) = prog.apg.lookup_ix(class, method) else { return false };
+        let Some(t) = prog.apg.method_id(class, method) else { return false };
         if !cs.in_scope[t as usize] {
             return false;
         }
@@ -1233,7 +1232,7 @@ fn compute_lib_summary<const W: usize>(prog: &Program, classes: &[&Class]) -> Li
     let mut out = LibSummary::default();
     for class in classes {
         for method in &class.methods {
-            let Some(ix) = prog.apg.lookup_ix(&class.name, &method.name) else { continue };
+            let Some(ix) = prog.apg.method_id(&class.name, &method.name) else { continue };
             if !prog.cs.in_scope[ix as usize] {
                 continue;
             }
@@ -1272,11 +1271,11 @@ fn summarize_method<const W: usize>(
         if lib_names.contains(&(c.as_str(), m.as_str())) {
             // Lib-internal: must resolve to an in-scope method so the
             // recorded param push matches live semantics.
-            match prog.apg.lookup_ix(c, m) {
+            match prog.apg.method_id(c, m) {
                 Some(t) if prog.cs.in_scope[t as usize] => {}
                 _ => return None,
             }
-        } else if prog.apg.lookup_ix(c, m).is_some() {
+        } else if prog.apg.method_id(c, m).is_some() {
             return None; // calls app code outside the lib: app-dependent
         } else {
             external_calls.push((c.clone(), m.clone()));
@@ -1310,8 +1309,8 @@ fn summarize_method<const W: usize>(
     }
     for (t, bits) in scratch.param_taint.iter().enumerate() {
         if !bits.is_empty() {
-            let (c, m) = prog.apg.method_name(prog.apg.method_node(t as u32));
-            ms.params.push((c.clone(), m.clone(), labels_of(bits)));
+            let (c, m) = prog.apg.method_def(t as u32);
+            ms.params.push((c.name.clone(), m.name.clone(), labels_of(bits)));
         }
     }
     for (ch, bits) in scratch.icc_taint.iter().enumerate() {
@@ -1543,9 +1542,8 @@ mod tests {
 
     #[test]
     fn kernel_declines_duplicate_method_declarations() {
-        // Two declarations of com.d.Main.go: name resolution is ambiguous,
-        // so the kernel must bow out and `analyze` must still answer (via
-        // the reference engine).
+        // Two declarations of com.d.Main.go: the kernel bows out and
+        // `analyze` still answers (via the reference engine).
         let mut manifest = Manifest::new("com.d");
         manifest.add_component(ComponentKind::Activity, "com.d.Main", true);
         let dex = Dex::builder()
@@ -1566,6 +1564,38 @@ mod tests {
         let methods = reach::reachable_methods(&apg);
         assert!(run(&apg, &methods, None).is_none());
         assert_eq!(analyze(&apg, &methods), analyze_reference(&apg, &methods));
+        let cache = TaintSummaryCache::new();
+        analyze_cached(&apg, &methods, Some(&cache));
+        assert_eq!(cache.reference_fallbacks(), 1);
+    }
+
+    #[test]
+    fn invoke_writing_its_own_argument_takes_another_pass() {
+        // `v2 = sink(v2)`: the call's result is its argument on the next
+        // local pass, so the callee's parameter taint grows and its sink
+        // fires — the body is not single-pass.
+        let mut manifest = Manifest::new("com.s");
+        manifest.add_component(ComponentKind::Activity, "com.s.Main", true);
+        let dex = Dex::builder()
+            .class("com.s.Main", |c| {
+                c.method("onCreate", 1, |m| {
+                    m.invoke_virtual("com.s.Main", "sink", &[2], Some(2));
+                });
+                c.method("sink", 1, |m| {
+                    m.invoke_virtual("java.io.FileOutputStream", "write", &[0], None);
+                    m.ret(Some(2));
+                    m.invoke_virtual(
+                        "android.telephony.TelephonyManager",
+                        "getDeviceId",
+                        &[0],
+                        Some(2),
+                    );
+                });
+            })
+            .build();
+        let (kernel, reference) = leaks_both_ways(&Apk::new(manifest, dex));
+        assert_eq!(kernel, reference);
+        assert_eq!(kernel.len(), 1, "device id reaches the file sink: {kernel:?}");
     }
 
     #[test]

@@ -1,14 +1,24 @@
 //! # ppchecker-static
 //!
-//! The static analysis module of the PPChecker reproduction: builds an
-//! Android property graph from a (simulated) APK, discovers entry points,
-//! runs reachability, resolves content-provider URIs, performs
-//! interprocedural taint analysis, and reports the information an app
-//! collects (`Collect_code`) and retains (`Retain_code`), plus the
-//! third-party libraries it embeds.
+//! The static analysis module of the PPChecker reproduction: builds the
+//! method layer of an Android property graph from a (simulated) APK,
+//! discovers entry points, runs reachability, resolves content-provider
+//! URIs, performs interprocedural taint analysis, and reports the
+//! information an app collects (`Collect_code`) and retains
+//! (`Retain_code`), plus the third-party libraries it embeds.
+//!
+//! The APG ([`apg`]) is a dense method graph compiled straight from the
+//! dex: `u32` method ids, one CSR row of call, implicit-callback and
+//! intent edges per id, and the manifest's lifecycle entries. Method ids
+//! are the method identity end to end — reachability returns a
+//! [`apg::MethodSet`] over them, and the scan and both taint engines index
+//! by them. The full property graph, with class, instruction and
+//! component nodes, is an export built on demand ([`graph::Graph::from_apk`],
+//! [`graph::to_dot`]).
 //!
 //! Substitutes, each implemented from scratch:
-//! - ValHunter-style APG over a property-graph store ([`graph`], [`apg`])
+//! - ValHunter-style APG: the dense method graph ([`apg`]) and the
+//!   property-graph export ([`graph`])
 //! - FlowDroid-style taint analysis ([`taint`], [`sinks`])
 //! - EdgeMiner-style implicit callbacks ([`callbacks`])
 //! - IccTA-style intent edges (in [`apg`])
@@ -51,7 +61,7 @@ pub mod uris;
 pub use analysis::{
     analyze, analyze_with, analyze_with_cache, AnalysisOptions, Callsite, StaticReport,
 };
-pub use apg::Apg;
+pub use apg::{Apg, MethodSet};
 pub use libs::{detect_libs, KnownLib, LibKind, KNOWN_LIBS};
 pub use sinks::SinkKind;
 pub use summary::TaintSummaryCache;

@@ -6,85 +6,46 @@
 //! UI related callbacks (e.g., `onClick()`)" and ignores sensitive APIs
 //! with no feasible path from an entry point (dead code).
 
-use crate::apg::{lifecycle_methods, Apg};
+use crate::apg::{lifecycle_methods, Apg, MethodSet};
 use crate::callbacks::UI_CALLBACKS;
-use crate::graph::{EdgeKind, NodeId};
-use std::collections::HashSet;
 
-/// Collects the entry-point method nodes of an APG.
+/// Collects the entry-point method ids of an APG, each once.
 ///
-/// Entry points: lifecycle methods of manifest components, UI callbacks in
-/// any application class, and `run`/`doInBackground` bodies (threads wired
-/// from XML or the framework).
-pub fn entry_points(apg: &Apg) -> Vec<NodeId> {
-    let mut entries: Vec<NodeId> = Vec::new();
-    let mut seen: HashSet<NodeId> = HashSet::new();
-
-    // Lifecycle methods reachable from components.
-    for &comp in &apg.component_ids {
-        for &m in apg.graph.successors(comp, EdgeKind::Lifecycle) {
-            if seen.insert(m) {
-                entries.push(m);
-            }
-        }
-    }
-
-    // Lifecycle-named methods in classes extending framework components but
-    // not declared in the manifest (defensive: exported fragments etc.) are
-    // NOT entries — the paper starts only from declared components — but UI
-    // callbacks anywhere in the app are (XML-wired handlers). Sorted by
-    // (class, method) so the entry order is independent of HashMap iteration.
-    let mut ui: Vec<(&(String, String), NodeId)> = apg
-        .method_ids
-        .iter()
-        .filter(|((_, method), _)| UI_CALLBACKS.contains(&method.as_str()))
-        .map(|(key, &mid)| (key, mid))
-        .collect();
-    ui.sort_unstable_by_key(|&(key, _)| key);
-    for (_, mid) in ui {
-        if seen.insert(mid) {
-            entries.push(mid);
+/// Entry points: lifecycle methods of manifest components (in manifest
+/// order), then UI callbacks in any application class (XML-wired
+/// handlers, in id order). Lifecycle-named methods of classes the
+/// manifest does not declare are not entries: the paper starts only from
+/// declared components.
+pub fn entry_points(apg: &Apg) -> Vec<u32> {
+    let mut entries = apg.lifecycle_entries().to_vec();
+    for id in 0..apg.method_count() as u32 {
+        let (_, m) = apg.method_def(id);
+        if UI_CALLBACKS.contains(&m.name.as_str()) && !apg.lifecycle_entries().contains(&id) {
+            entries.push(id);
         }
     }
     entries
 }
 
 /// Returns the set of methods reachable from the entry points over call,
-/// implicit-callback, and intent edges.
-pub fn reachable_methods(apg: &Apg) -> HashSet<NodeId> {
-    let entries = entry_points(apg);
-    if apg.has_duplicate_methods() {
-        // The dense method index skips shadowed duplicate declarations, so
-        // fall back to the exact HashMap-adjacency walk for odd inputs.
-        return apg
-            .graph
-            .reachable_from(&entries, &[EdgeKind::Call, EdgeKind::ImplicitCallback, EdgeKind::Icc])
-            .into_iter()
-            .collect();
+/// implicit-callback, and intent edges: a breadth-first walk of the
+/// APG's CSR rows.
+pub fn reachable_methods(apg: &Apg) -> MethodSet {
+    let mut reached = MethodSet::empty(apg.method_count());
+    let mut queue = entry_points(apg);
+    for &id in &queue {
+        reached.insert(id);
     }
-    // Dense BFS over the precompiled method CSR (Call + ImplicitCallback +
-    // Icc rows), avoiding a HashMap probe per (node, kind) expansion.
-    let n = apg.method_count();
-    let mut visited = vec![false; n];
-    let mut queue: std::collections::VecDeque<u32> = entries
-        .iter()
-        .filter_map(|&e| apg.method_ix(e))
-        .inspect(|&ix| visited[ix as usize] = true)
-        .collect();
-    let mut out = HashSet::with_capacity(queue.len() * 2);
-    for &e in &entries {
-        out.insert(e);
-    }
-    while let Some(ix) = queue.pop_front() {
-        out.insert(apg.method_node(ix));
-        for &next in apg.callees(ix) {
-            if !visited[next as usize] {
-                visited[next as usize] = true;
-                queue.push_back(next);
+    let mut next = 0;
+    while let Some(&id) = queue.get(next) {
+        next += 1;
+        for &callee in apg.callees(id) {
+            if reached.insert(callee) {
+                queue.push(callee);
             }
         }
     }
-    out
+    reached
 }
 
 /// Convenience used by tests and ablations: is the lifecycle table sane for
@@ -126,7 +87,7 @@ mod tests {
     fn entry_points_include_lifecycle() {
         let apg = Apg::build(&apk_with_dead_code()).unwrap();
         let entries = entry_points(&apg);
-        let on_create = apg.method_ids[&("com.x.Main".into(), "onCreate".into())];
+        let on_create = apg.method_id("com.x.Main", "onCreate").unwrap();
         assert!(entries.contains(&on_create));
     }
 
@@ -134,10 +95,11 @@ mod tests {
     fn dead_method_is_unreachable() {
         let apg = Apg::build(&apk_with_dead_code()).unwrap();
         let reach = reachable_methods(&apg);
-        let live = apg.method_ids[&("com.x.Main".into(), "live".into())];
-        let dead = apg.method_ids[&("com.x.Main".into(), "dead".into())];
-        assert!(reach.contains(&live));
-        assert!(!reach.contains(&dead));
+        let live = apg.method_id("com.x.Main", "live").unwrap();
+        let dead = apg.method_id("com.x.Main", "dead").unwrap();
+        assert!(reach.contains(live));
+        assert!(!reach.contains(dead));
+        assert_eq!(reach.len(), 2);
     }
 
     #[test]
@@ -159,8 +121,8 @@ mod tests {
             .build();
         let apg = Apg::build(&Apk::new(manifest, dex)).unwrap();
         let reach = reachable_methods(&apg);
-        let worker = apg.method_ids[&("com.x.Worker".into(), "go".into())];
-        assert!(reach.contains(&worker));
+        let worker = apg.method_id("com.x.Worker", "go").unwrap();
+        assert!(reach.contains(worker));
     }
 
     #[test]
@@ -186,14 +148,14 @@ mod tests {
             .build();
         let apg = Apg::build(&Apk::new(manifest, dex)).unwrap();
         let reach = reachable_methods(&apg);
-        let deep = apg.method_ids[&("com.x.Deep".into(), "fetch".into())];
-        assert!(reach.contains(&deep));
+        let deep = apg.method_id("com.x.Deep", "fetch").unwrap();
+        assert!(reach.contains(deep));
     }
 
     #[test]
     fn entry_points_are_deterministic() {
-        // Many UI-callback classes exercise the former HashMap-iteration
-        // ordering bug: two independently built APGs must agree exactly.
+        // Many UI-callback classes: two independently built APGs must
+        // agree exactly.
         let mut manifest = Manifest::new("com.x");
         manifest.add_component(ComponentKind::Activity, "com.x.Main", true);
         let mut builder = Dex::builder().class("com.x.Main", |c| {
@@ -212,11 +174,8 @@ mod tests {
         let ea = entry_points(&a);
         let eb = entry_points(&b);
         assert_eq!(ea.len(), 49);
-        let names_a: Vec<_> = ea.iter().map(|&m| a.method_name(m)).collect();
-        let names_b: Vec<_> = eb.iter().map(|&m| b.method_name(m)).collect();
-        assert_eq!(names_a, names_b);
-        // NodeIds are assigned in dex declaration order, so the id vectors
-        // themselves must also match between the two builds.
+        // Method ids are assigned in dex declaration order, so the id
+        // vectors match between the two builds.
         assert_eq!(ea, eb);
     }
 

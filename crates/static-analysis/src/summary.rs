@@ -108,6 +108,7 @@ pub struct TaintSummaryCache {
     map: RwLock<FnvMap<u64, Arc<LibSummary>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    reference_fallbacks: AtomicU64,
     disk: OnceLock<Arc<dyn ArtifactTier>>,
 }
 
@@ -186,6 +187,17 @@ impl TaintSummaryCache {
     /// Summaries resident.
     pub fn entries(&self) -> usize {
         self.map.read().expect("summary cache lock").len()
+    }
+
+    /// Apps analyzed with this cache whose taint ran on the reference
+    /// engine because the kernel declined them (duplicate method
+    /// declarations, or more than 256 taint labels).
+    pub fn reference_fallbacks(&self) -> u64 {
+        self.reference_fallbacks.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn count_reference_fallback(&self) {
+        self.reference_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -451,6 +463,100 @@ mod tests {
         let bytes = encode_lib_summary(&sample_summary());
         for cut in [0, 7, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_lib_summary(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    /// `decode_lib_summary` is total, and whatever it accepts re-encodes
+    /// to the same bytes (the codec has one encoding per summary).
+    mod totality {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// Encodings of real summaries: the hand-built one, one computed
+        /// by the kernel for an SDK that leaks and returns device ids, and
+        /// an empty one.
+        fn real_encodings() -> &'static [Vec<u8>] {
+            static ENCODINGS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+            ENCODINGS.get_or_init(|| {
+                vec![
+                    encode_lib_summary(&sample_summary()),
+                    encode_lib_summary(&kernel_summary()),
+                    encode_lib_summary(&LibSummary::default()),
+                ]
+            })
+        }
+
+        fn kernel_summary() -> LibSummary {
+            use crate::{apg::Apg, reach, taint};
+            use ppchecker_apk::{Apk, ComponentKind, Dex, Manifest};
+            let mut manifest = Manifest::new("com.app");
+            manifest.add_component(ComponentKind::Activity, "com.app.Main", true);
+            let dex = Dex::builder()
+                .class("com.app.Main", |c| {
+                    c.method("onCreate", 1, |m| {
+                        m.invoke_virtual("com.google.android.gms.ads.Sdk", "init", &[0], Some(1));
+                        m.invoke_static("android.util.Log", "d", &[1], None);
+                    });
+                })
+                .class("com.google.android.gms.ads.Sdk", |c| {
+                    c.method("init", 1, |m| {
+                        let tm = "android.telephony.TelephonyManager";
+                        m.invoke_virtual(tm, "getDeviceId", &[0], Some(1));
+                        m.const_string(2, "content://sms");
+                        m.invoke_virtual(
+                            "android.content.ContentResolver",
+                            "query",
+                            &[0, 2],
+                            Some(3),
+                        );
+                        m.field_put("com.google.android.gms.ads.Sdk", "cached", 3);
+                        m.invoke_virtual("java.io.FileOutputStream", "write", &[1], None);
+                        m.invoke_virtual("com.google.android.gms.ads.Net", "send", &[1], None);
+                        m.ret(Some(1));
+                    });
+                })
+                .build();
+            let apg = Apg::build(&Apk::new(manifest, dex)).unwrap();
+            let cache = TaintSummaryCache::new();
+            taint::analyze_cached(&apg, &reach::reachable_methods(&apg), Some(&cache));
+            let (_, key) = apg.known_lib_keys()[0];
+            let summary = cache.get(key).expect("the lib was summarized");
+            assert!(summary.method_count() > 0);
+            LibSummary::clone(&summary)
+        }
+
+        fn check(bytes: &[u8]) -> Result<(), String> {
+            if let Ok(summary) = decode_lib_summary(bytes) {
+                prop_assert_eq!(encode_lib_summary(&summary), bytes.to_vec());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn random_bytes_decode_or_fail(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+                check(&bytes)?;
+            }
+
+            #[test]
+            fn truncated_encodings_decode_or_fail(which in 0usize..3, cut in any::<usize>()) {
+                let bytes = &real_encodings()[which];
+                check(&bytes[..cut % (bytes.len() + 1)])?;
+            }
+
+            #[test]
+            fn bit_flipped_encodings_decode_or_fail(
+                which in 0usize..3,
+                flips in prop::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            ) {
+                let mut bytes = real_encodings()[which].clone();
+                for (at, bit) in flips {
+                    let at = at % bytes.len();
+                    bytes[at] ^= 1 << bit;
+                }
+                check(&bytes)?;
+            }
         }
     }
 

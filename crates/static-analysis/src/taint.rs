@@ -7,14 +7,13 @@
 //! (argument → parameter) and returns, iterated to a global fixpoint over
 //! the reachable portion of the call graph.
 
-use crate::apg::Apg;
+use crate::apg::{Apg, MethodSet};
 use crate::consts::{self, UriValue};
-use crate::graph::NodeId;
 use crate::sensitive;
 use crate::sinks::{self, SinkKind};
 use crate::uris;
 use ppchecker_apk::{Insn, Method, PrivateInfo, Reg};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// A detected source→sink flow: the paper's `Retain_code` evidence.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -48,25 +47,36 @@ type TaintSet = BTreeSet<Label>;
 /// kernel (`crate::kernel`) whenever the app fits its envelope (no
 /// duplicate method declarations, ≤ 256 taint labels), falling back to
 /// the reference engine otherwise; both produce the identical leak set.
-pub fn analyze(apg: &Apg, methods: &HashSet<NodeId>) -> Vec<Leak> {
+pub fn analyze(apg: &Apg, methods: &MethodSet) -> Vec<Leak> {
     analyze_cached(apg, methods, None)
 }
 
 /// [`analyze`] with an optional cross-app library summary cache: known
 /// libs embedded in the app get their per-method taint summaries reused
 /// across apps with byte-identical lib classes (see [`crate::summary`]).
+/// The cache also counts the apps that fell back to the reference engine
+/// ([`crate::summary::TaintSummaryCache::reference_fallbacks`]).
 pub fn analyze_cached(
     apg: &Apg,
-    methods: &HashSet<NodeId>,
+    methods: &MethodSet,
     cache: Option<&crate::summary::TaintSummaryCache>,
 ) -> Vec<Leak> {
-    crate::kernel::run(apg, methods, cache).unwrap_or_else(|| analyze_reference(apg, methods))
+    crate::kernel::run(apg, methods, cache).unwrap_or_else(|| {
+        if let Some(cache) = cache {
+            cache.count_reference_fallback();
+        }
+        analyze_reference(apg, methods)
+    })
 }
 
 /// The reference engine: string-keyed maps, whole-corpus sweeps. Kept as
 /// the oracle the kernel is property-tested against (and the fallback
 /// for apps outside the kernel envelope).
-pub fn analyze_reference(apg: &Apg, methods: &HashSet<NodeId>) -> Vec<Leak> {
+///
+/// Each global round visits the in-scope methods in the order of their
+/// last declaration; with the round cap, that order can decide whether a
+/// long return chain reaches its sink (DESIGN.md §11).
+pub fn analyze_reference(apg: &Apg, methods: &MethodSet) -> Vec<Leak> {
     let mut engine = Engine {
         apg,
         field_taint: HashMap::new(),
@@ -85,8 +95,8 @@ struct Engine<'a> {
     /// `(String, String)` pair) so the hot read path probes with two
     /// borrowed `&str`s instead of allocating a fresh tuple per lookup.
     field_taint: HashMap<String, HashMap<String, TaintSet>>,
-    param_taint: HashMap<NodeId, TaintSet>,
-    return_taint: HashMap<NodeId, TaintSet>,
+    param_taint: HashMap<u32, TaintSet>,
+    return_taint: HashMap<u32, TaintSet>,
     /// Inter-component channel taint: intent extras put for a target
     /// class become readable by that class's `get*Extra` calls (the
     /// data-flow half of IccTA).
@@ -95,14 +105,15 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    fn run(&mut self, methods: &HashSet<NodeId>) {
+    fn run(&mut self, methods: &MethodSet) {
         // Global fixpoint: method summaries (param/return/field taint) grow
         // monotonically, so iterate until stable.
-        let ordered: Vec<NodeId> = {
-            let mut v: Vec<NodeId> = methods.iter().copied().collect();
-            v.sort_unstable();
-            v
-        };
+        let mut last_declared = vec![0usize; self.apg.method_count()];
+        for (body, &id) in self.apg.body_ids().iter().enumerate() {
+            last_declared[id as usize] = body;
+        }
+        let mut ordered: Vec<u32> = methods.iter().collect();
+        ordered.sort_unstable_by_key(|&id| last_declared[id as usize]);
         for _round in 0..8 {
             let before = self.state_size();
             for &mid in &ordered {
@@ -126,10 +137,10 @@ impl Engine<'_> {
             + self.leaks.len()
     }
 
-    fn process_method(&mut self, mid: NodeId, in_scope: &HashSet<NodeId>) {
-        let (class_name, method_name) = self.apg.method_name(mid).clone();
-        let Some(class) = self.apg.dex.class(&class_name) else { return };
-        let Some(method) = class.method(&method_name) else { return };
+    fn process_method(&mut self, mid: u32, in_scope: &MethodSet) {
+        let apg = self.apg;
+        let (class, method) = apg.method_def(mid);
+        let (class_name, method_name) = (class.name.as_str(), method.name.as_str());
 
         // Pre-resolve query URIs once.
         let query_uris: HashMap<usize, UriValue> =
@@ -152,8 +163,8 @@ impl Engine<'_> {
             let before: usize = regs.values().map(|s| s.len()).sum::<usize>() + self.leaks.len();
             self.interpret(
                 method,
-                &class_name,
-                &method_name,
+                class_name,
+                method_name,
                 mid,
                 &query_uris,
                 &intent_targets,
@@ -173,11 +184,11 @@ impl Engine<'_> {
         method: &Method,
         class_name: &str,
         method_name: &str,
-        mid: NodeId,
+        mid: u32,
         query_uris: &HashMap<usize, UriValue>,
         intent_targets: &HashMap<Reg, String>,
         regs: &mut HashMap<Reg, TaintSet>,
-        in_scope: &HashSet<NodeId>,
+        in_scope: &MethodSet,
     ) {
         for (idx, insn) in method.instructions.iter().enumerate() {
             match insn {
@@ -263,7 +274,7 @@ impl Engine<'_> {
         query_uris: &HashMap<usize, UriValue>,
         intent_targets: &HashMap<Reg, String>,
         regs: &mut HashMap<Reg, TaintSet>,
-        in_scope: &HashSet<NodeId>,
+        in_scope: &MethodSet,
     ) {
         let arg_taint: TaintSet =
             args.iter().filter_map(|r| regs.get(r)).flat_map(|s| s.iter().cloned()).collect();
@@ -335,7 +346,7 @@ impl Engine<'_> {
         let mut is_app_call = false;
         if let Some(target) = self.apg.method_id(class, callee) {
             is_app_call = true;
-            if in_scope.contains(&target) {
+            if in_scope.contains(target) {
                 if !arg_taint.is_empty() {
                     self.param_taint.entry(target).or_default().extend(arg_taint.iter().cloned());
                 }
@@ -563,6 +574,59 @@ mod tests {
         assert!(leaks
             .iter()
             .any(|l| l.info == PrivateInfo::PhoneNumber && l.sink == SinkKind::Sms));
+    }
+
+    #[test]
+    fn reference_engine_reads_a_method_only_a_later_class_declaration_defines() {
+        // `com.x.Util` is declared twice and only the second declaration
+        // defines `work`; the duplicate `onPause` sends the app to the
+        // reference engine. Each name's body is its first declaration
+        // anywhere in the dex, so `Util.work` is interpreted and its leak
+        // is reported, as the kernel reports it for the same dex without
+        // the duplicate method.
+        let dex = |duplicate: bool| {
+            Dex::builder()
+                .class("com.x.Main", |c| {
+                    c.method("onCreate", 1, |m| {
+                        m.invoke_virtual("com.x.Util", "work", &[0], None);
+                    });
+                    c.method("onPause", 1, |_| {});
+                    if duplicate {
+                        c.method("onPause", 1, |_| {});
+                    }
+                })
+                .class("com.x.Util", |c| {
+                    c.method("stash", 1, |_| {});
+                })
+                .class("com.x.Util", |c| {
+                    c.method("work", 1, |m| {
+                        m.invoke_virtual(
+                            "android.telephony.TelephonyManager",
+                            "getDeviceId",
+                            &[0],
+                            Some(1),
+                        );
+                        m.invoke_static("android.util.Log", "d", &[1], None);
+                    });
+                })
+                .build()
+        };
+        let expected = vec![Leak {
+            info: PrivateInfo::DeviceId,
+            sink: SinkKind::Log,
+            source_api: "android.telephony.TelephonyManager.getDeviceId".to_string(),
+            sink_api: "android.util.Log.d".to_string(),
+            at_method: "com.x.Util.work".to_string(),
+        }];
+        let apg = Apg::build(&Apk::new(manifest(), dex(true))).unwrap();
+        assert!(apg.has_duplicate_methods());
+        let methods = reach::reachable_methods(&apg);
+        assert!(crate::kernel::run(&apg, &methods, None).is_none());
+        assert_eq!(analyze(&apg, &methods), expected);
+
+        let apg = Apg::build(&Apk::new(manifest(), dex(false))).unwrap();
+        let methods = reach::reachable_methods(&apg);
+        assert_eq!(crate::kernel::run(&apg, &methods, None), Some(expected));
     }
 }
 

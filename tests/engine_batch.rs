@@ -1,9 +1,9 @@
 //! Integration tests for the batch engine: determinism across worker
 //! counts on a seeded corpus, and fault isolation for poisoned apps.
 
-use ppchecker_apk::Apk;
+use ppchecker_apk::{Apk, ComponentKind, Dex, Manifest};
 use ppchecker_core::PPChecker;
-use ppchecker_corpus::{evaluate, evaluate_parallel, export_dataset, small_dataset};
+use ppchecker_corpus::{evaluate, evaluate_parallel, export_dataset, small_dataset, stream_scaled};
 use ppchecker_engine::Engine;
 
 /// `jobs=1` and `jobs=8` over the same seeded 50-app corpus must produce
@@ -74,6 +74,48 @@ fn corrupt_dex_app_is_isolated_to_one_error_record() {
         "all other apps must still complete"
     );
     assert_eq!(batch.aggregate().errors, 1);
+}
+
+/// Apps the taint kernel declines run on the reference engine and are
+/// counted per run: a duplicate method declaration and a dex with more
+/// than 256 taint labels each fall back; scale-corpus apps never do.
+#[test]
+fn taint_reference_fallbacks_are_counted_per_run() {
+    let engine = Engine::new(PPChecker::new()).with_jobs(2);
+    let scale = engine.run(stream_scaled(7, 2_000).map(|app| app.input).collect::<Vec<_>>());
+    assert_eq!(scale.metrics.errors, 0);
+    assert_eq!(scale.metrics.taint_reference_fallbacks, 0);
+
+    let mut manifest = Manifest::new("com.d");
+    manifest.add_component(ComponentKind::Activity, "com.d.Main", true);
+    let duplicate = Dex::builder()
+        .class("com.d.Main", |c| {
+            c.method("onCreate", 1, |m| {
+                m.invoke_virtual("com.d.Main", "go", &[0], None);
+            });
+            c.method("go", 1, |_| {});
+            c.method("go", 1, |_| {});
+        })
+        .build();
+    let overflow = Dex::builder()
+        .class("com.d.Main", |c| {
+            c.method("onCreate", 1, |m| {
+                for i in 0..300u32 {
+                    m.const_string(1, &format!("content://com.android.contacts/u{i}"));
+                    m.invoke_virtual("android.content.ContentResolver", "query", &[0, 1], Some(2));
+                    m.invoke_static("android.util.Log", "i", &[2], None);
+                }
+            });
+        })
+        .build();
+    let mut inputs: Vec<_> = small_dataset(42, 4).iter_apps().cloned().collect();
+    inputs[1].apk = Apk::new(manifest.clone(), duplicate);
+    inputs[2].apk = Apk::new(manifest, overflow);
+    let batch = engine.run(inputs);
+    assert_eq!(batch.metrics.errors, 0);
+    assert_eq!(batch.metrics.taint_reference_fallbacks, 2);
+    assert!(batch.metrics.to_string().contains("taint reference fallbacks: 2 apps"));
+    assert_eq!(engine.metrics_snapshot().taint_reference_fallbacks, 2);
 }
 
 /// End-to-end through the export layout: `ppchecker batch` record streams

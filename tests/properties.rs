@@ -1,10 +1,13 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants of the pipeline.
 
-use ppchecker_apk::{packer, Dex, Insn, InvokeKind};
+use ppchecker_apk::{packer, Apk, ComponentKind, Dex, Insn, InvokeKind, Manifest};
 use ppchecker_esa::Interpreter;
 use ppchecker_nlp::{depparse, intern, resolve, sentence, token};
+use ppchecker_static::apg::{lifecycle_methods, Apg, MethodSet};
+use ppchecker_static::{callbacks, reach, taint};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
 // ---------- interning ----------
 
@@ -118,19 +121,99 @@ proptest! {
 
 // ---------- APK / packer ----------
 
+/// Class and method names that generated dexes reuse: a pooled name may
+/// be declared by more than one class (duplicate class names) or more
+/// than once in a class (duplicate methods), and invokes, listeners,
+/// superclasses and intent targets name them.
+const CLASS_POOL: &[&str] = &["com.x.Main", "com.x.Base", "com.x.Task", "com.x.Svc"];
+const METHOD_POOL: &[&str] = &["onCreate", "run", "onClick", "work", "onStartCommand"];
+
+/// Framework calls with a meaning to the static analysis: sources,
+/// sinks, callback registrations, intents, content queries.
+const FRAMEWORK_CALLS: &[(&str, &str)] = &[
+    ("android.location.Location", "getLatitude"),
+    ("android.telephony.TelephonyManager", "getDeviceId"),
+    ("android.util.Log", "d"),
+    ("java.io.FileOutputStream", "write"),
+    ("java.lang.Thread", "start"),
+    ("android.view.View", "setOnClickListener"),
+    ("android.os.Handler", "post"),
+    ("android.content.Intent", "setClass"),
+    ("android.content.Intent", "putExtra"),
+    ("android.content.Intent", "getStringExtra"),
+    ("android.app.Activity", "startService"),
+    ("android.content.Context", "sendBroadcast"),
+    ("android.content.ContentResolver", "query"),
+    ("java.lang.StringBuilder", "append"),
+];
+
+fn invoke(class: &str, method: &str, args: Vec<u32>, dst: Option<u32>) -> Insn {
+    Insn::Invoke {
+        kind: InvokeKind::Virtual,
+        class: class.to_string(),
+        method: method.to_string(),
+        args,
+        dst,
+    }
+}
+
+/// Registers of the pooled instructions: few, so values meet.
+fn reg() -> std::ops::Range<u32> {
+    0..3
+}
+
+/// An instruction with pooled names and registers, where data and
+/// control flow between methods happen.
+fn arb_pooled_insn() -> impl Strategy<Value = Insn> {
+    let pooled_call =
+        (0..CLASS_POOL.len(), 0..METHOD_POOL.len(), reg(), 0u32..5).prop_map(|(c, m, arg, dst)| {
+            invoke(CLASS_POOL[c], METHOD_POOL[m], vec![arg], (dst < 3).then_some(dst))
+        });
+    let framework_call =
+        (0..FRAMEWORK_CALLS.len(), proptest::collection::vec(reg(), 0..4), 0u32..6).prop_map(
+            |(k, args, dst)| {
+                invoke(FRAMEWORK_CALLS[k].0, FRAMEWORK_CALLS[k].1, args, (dst < 3).then_some(dst))
+            },
+        );
+    let source = (0usize..2, reg())
+        .prop_map(|(k, dst)| invoke(FRAMEWORK_CALLS[k].0, FRAMEWORK_CALLS[k].1, vec![], Some(dst)));
+    let sink = (2usize..4, reg())
+        .prop_map(|(k, arg)| invoke(FRAMEWORK_CALLS[k].0, FRAMEWORK_CALLS[k].1, vec![arg], None));
+    prop_oneof![
+        pooled_call,
+        framework_call,
+        source,
+        sink,
+        (0..CLASS_POOL.len(), reg())
+            .prop_map(|(c, r)| Insn::ConstString { dst: r, value: CLASS_POOL[c].to_string() }),
+        (0..CLASS_POOL.len(), reg())
+            .prop_map(|(c, r)| Insn::NewInstance { dst: r, class: CLASS_POOL[c].to_string() }),
+        (reg(), reg()).prop_map(|(d, s)| Insn::Move { dst: d, src: s }),
+        (0..CLASS_POOL.len(), reg()).prop_map(|(c, r)| Insn::FieldPut {
+            class: CLASS_POOL[c].to_string(),
+            field: "f".to_string(),
+            src: r
+        }),
+        (0..CLASS_POOL.len(), reg()).prop_map(|(c, r)| Insn::FieldGet {
+            class: CLASS_POOL[c].to_string(),
+            field: "f".to_string(),
+            dst: r
+        }),
+        reg().prop_map(|r| Insn::Return { src: Some(r) }),
+    ]
+}
+
+/// One instruction in three random, the rest pooled.
 fn arb_insn() -> impl Strategy<Value = Insn> {
+    prop_oneof![arb_random_insn(), arb_pooled_insn(), arb_pooled_insn()]
+}
+
+fn arb_random_insn() -> impl Strategy<Value = Insn> {
     prop_oneof![
         ("[ -~]{0,40}", 0u32..16).prop_map(|(v, r)| Insn::ConstString { dst: r, value: v }),
         (0u32..16, 0u32..16).prop_map(|(d, s)| Insn::Move { dst: d, src: s }),
-        ("[a-zA-Z.$]{1,30}", "[a-zA-Z]{1,15}", proptest::collection::vec(0u32..16, 0..4)).prop_map(
-            |(c, m, args)| Insn::Invoke {
-                kind: InvokeKind::Virtual,
-                class: c,
-                method: m,
-                args,
-                dst: None,
-            }
-        ),
+        ("[a-zA-Z.$]{1,30}", "[a-zA-Z]{1,15}", proptest::collection::vec(0u32..16, 0..4))
+            .prop_map(|(c, m, args)| invoke(&c, &m, args, None)),
         ("[a-zA-Z.]{1,20}", "[a-zA-Z]{1,12}", 0u32..16).prop_map(|(c, f, r)| Insn::FieldPut {
             class: c,
             field: f,
@@ -141,25 +224,37 @@ fn arb_insn() -> impl Strategy<Value = Insn> {
     ]
 }
 
+/// A dex of zero to five classes of zero to four methods each, so empty
+/// dexes and classes with no methods occur. Most class and method names
+/// come from the pools, so duplicate class names and duplicate method
+/// declarations are common; the rest are random and kept distinct.
 fn arb_dex() -> impl Strategy<Value = Dex> {
     proptest::collection::vec(
         (
+            0usize..6,
             "[a-z][a-z.]{0,20}",
+            0usize..6,
             proptest::collection::vec(
-                ("[a-z][a-zA-Z]{0,10}", proptest::collection::vec(arb_insn(), 0..8)),
-                0..4,
+                (0usize..7, "[a-z][a-zA-Z]{0,10}", proptest::collection::vec(arb_insn(), 0..12)),
+                0..5,
             ),
         ),
-        0..4,
+        0..6,
     )
     .prop_map(|classes| {
         let mut b = Dex::builder();
-        for (i, (name, methods)) in classes.into_iter().enumerate() {
-            // Guarantee distinct class names.
-            let name = format!("{name}{i}");
+        for (i, (pick, name, parent, methods)) in classes.into_iter().enumerate() {
+            let name = CLASS_POOL.get(pick).map_or_else(|| format!("{name}{i}"), |n| n.to_string());
             b = b.class(&name, |c| {
-                for (j, (mname, insns)) in methods.into_iter().enumerate() {
-                    let mname = format!("{mname}{j}");
+                match CLASS_POOL.get(parent) {
+                    Some(parent) => c.extends(parent),
+                    None if parent == CLASS_POOL.len() => c.extends("android.app.Activity"),
+                    None => c,
+                };
+                for (j, (pick, mname, insns)) in methods.into_iter().enumerate() {
+                    let mname = METHOD_POOL
+                        .get(pick)
+                        .map_or_else(|| format!("{mname}{j}"), |n| n.to_string());
                     c.method(&mname, 1, |mb| {
                         for insn in insns {
                             mb.push(insn);
@@ -198,14 +293,157 @@ proptest! {
 
 // ---------- static analysis ----------
 
+/// The manifest every generated dex is analyzed under: three pooled
+/// components, so lifecycle entries resolve.
+fn pool_manifest() -> Manifest {
+    let mut m = Manifest::new("com.x");
+    m.add_component(ComponentKind::Activity, "com.x.Main", true);
+    m.add_component(ComponentKind::Service, "com.x.Svc", false);
+    m.add_component(ComponentKind::Receiver, "com.x.Task", false);
+    m
+}
+
+/// The reachability oracle: a breadth-first walk over `(class, method)`
+/// names with the property-graph APG's semantics. Every body's call,
+/// callback and intent edges leave its name; edges and entries resolve
+/// by name; a call also reaches the override in every other class whose
+/// superclass chain — walked through `Dex::class`, at most 32 steps —
+/// reaches the named class. Entries are the components' lifecycle
+/// methods and every UI callback.
+fn oracle_reachable(dex: &Dex, manifest: &Manifest) -> BTreeSet<(String, String)> {
+    type Name<'a> = (&'a str, &'a str);
+    let declared: BTreeSet<Name> =
+        dex.iter_methods().map(|(c, m)| (c.name.as_str(), m.name.as_str())).collect();
+    let named = |c: &str, m: &str| declared.iter().find(|&&n| n == (c, m)).copied();
+    let chain_reaches = |class: &str, ancestor: &str| {
+        let mut cur = class;
+        for _ in 0..32 {
+            let Some(c) = dex.class(cur) else { return false };
+            if c.superclass == ancestor {
+                return true;
+            }
+            cur = &c.superclass;
+        }
+        false
+    };
+    fn listener(insns: &[Insn], reg: u32) -> Option<&str> {
+        let mut wanted = reg;
+        for insn in insns.iter().rev() {
+            match insn {
+                Insn::NewInstance { dst, class } if *dst == wanted => return Some(class),
+                Insn::Move { dst, src } if *dst == wanted => wanted = *src,
+                _ => {}
+            }
+        }
+        None
+    }
+    let mut edges: HashMap<Name, Vec<Name>> = HashMap::new();
+    for class in &dex.classes {
+        for m in &class.methods {
+            let out = edges.entry((class.name.as_str(), m.name.as_str())).or_default();
+            let mut strings: HashMap<u32, &str> = HashMap::new();
+            let mut intents: HashMap<u32, &str> = HashMap::new();
+            for (idx, insn) in m.instructions.iter().enumerate() {
+                if let Insn::ConstString { dst, value } = insn {
+                    strings.insert(*dst, value);
+                }
+                let Insn::Invoke { class: cc, method: mm, args, .. } = insn else { continue };
+                out.extend(named(cc, mm));
+                for sub in &dex.classes {
+                    if sub.name != *cc && chain_reaches(&sub.name, cc) && sub.method(mm).is_some() {
+                        out.extend(named(&sub.name, mm));
+                    }
+                }
+                if let Some(cb) = callbacks::callback_for(cc, mm) {
+                    for &arg in args {
+                        out.extend(
+                            listener(&m.instructions[..idx], arg).and_then(|l| named(l, cb)),
+                        );
+                    }
+                    out.extend(named(&class.name, cb));
+                }
+                if cc == "android.content.Intent"
+                    && ["setClass", "setClassName", "setComponent"].contains(&mm.as_str())
+                {
+                    let target = args.iter().skip(1).find_map(|r| strings.get(r));
+                    if let (Some(&intent), Some(&target)) = (args.first(), target) {
+                        intents.insert(intent, target);
+                    }
+                    continue;
+                }
+                let launched: &[&str] = match mm.as_str() {
+                    "startActivity" => &["onCreate"],
+                    "startService" => &["onCreate", "onStartCommand"],
+                    "sendBroadcast" => &["onReceive"],
+                    _ => &[],
+                };
+                for target in args.iter().skip(1).filter_map(|r| intents.get(r)) {
+                    for entry in launched {
+                        out.extend(named(target, entry));
+                    }
+                }
+            }
+        }
+    }
+    let mut queue: Vec<Name> = Vec::new();
+    for comp in &manifest.components {
+        for entry in lifecycle_methods(comp.kind) {
+            queue.extend(named(&comp.class_name, entry));
+        }
+    }
+    queue.extend(declared.iter().filter(|(_, m)| callbacks::UI_CALLBACKS.contains(m)));
+    let mut reached: BTreeSet<Name> = queue.iter().copied().collect();
+    while let Some(name) = queue.pop() {
+        for &next in edges.get(&name).into_iter().flatten() {
+            if reached.insert(next) {
+                queue.push(next);
+            }
+        }
+    }
+    reached.into_iter().map(|(c, m)| (c.to_string(), m.to_string())).collect()
+}
+
 proptest! {
     /// The APG builds for any generated dex and reachability stays within
-    /// the node set.
+    /// the method set.
     #[test]
     fn apg_builds_for_arbitrary_dex(dex in arb_dex()) {
-        let apk = ppchecker_apk::Apk::new(ppchecker_apk::Manifest::new("com.x"), dex);
+        let methods = dex.method_count();
+        let apk = Apk::new(pool_manifest(), dex);
         let report = ppchecker_static::analyze(&apk).expect("plain dex");
-        prop_assert!(report.reachable_method_count <= 1000);
+        prop_assert!(report.reachable_method_count <= methods);
+    }
+
+    /// Reachability over the dense method graph equals the name-resolved
+    /// oracle, duplicate class and method names included.
+    #[test]
+    fn reachable_methods_match_the_name_resolved_oracle(dex in arb_dex()) {
+        let apk = Apk::new(pool_manifest(), dex);
+        let apg = Apg::build(&apk).expect("plain dex");
+        let reached = reach::reachable_methods(&apg);
+        let names: BTreeSet<(String, String)> = reached
+            .iter()
+            .map(|id| {
+                let (c, m) = apg.method_def(id);
+                (c.name.clone(), m.name.clone())
+            })
+            .collect();
+        prop_assert_eq!(names.len(), reached.len());
+        prop_assert_eq!(names, oracle_reachable(&apg.dex, &apk.manifest));
+    }
+
+    /// The taint kernel and the reference engine report the same leaks on
+    /// generated apps, with or without reachability; apps the kernel
+    /// declines (duplicate methods) run on the reference engine.
+    #[test]
+    fn taint_kernel_matches_reference_on_generated_apps(dex in arb_dex()) {
+        let apg = Apg::build(&Apk::new(pool_manifest(), dex)).expect("plain dex");
+        for methods in [reach::reachable_methods(&apg), MethodSet::full(apg.method_count())] {
+            prop_assert_eq!(
+                taint::analyze(&apg, &methods),
+                taint::analyze_reference(&apg, &methods)
+            );
+        }
     }
 }
 
